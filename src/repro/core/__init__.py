@@ -3,6 +3,8 @@
 * :class:`BlockchainDatabase` — the triple ``D = (R, I, T)`` of Section 4.
 * :mod:`~repro.core.possible_worlds` — the can-append relation, possible
   world recognition (Proposition 1) and enumeration, ``getMaximal``.
+* :mod:`~repro.core.ind_support` — the workspace's IND-support index,
+  which builds the maximal world of an fd-clique without ``can_extend``.
 * :mod:`~repro.core.fd_graph` / :mod:`~repro.core.ind_graph` — the
   precomputed graphs of Section 6 (Figure 3).
 * :mod:`~repro.core.naive` / :mod:`~repro.core.opt` — NaiveDCSat

@@ -27,7 +27,6 @@ import itertools
 
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.ind_graph import IndQTransactionGraph
-from repro.core.possible_worlds import get_maximal
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
@@ -116,7 +115,7 @@ def _world_containing(
     for extension in clique_iter:
         clique = support | free | extension
         stats.cliques_enumerated += 1
-        world = get_maximal(workspace, clique)
+        world = workspace.ind_support.maximal_world(clique)
         stats.worlds_checked += 1
         if support <= world:
             return world

@@ -15,7 +15,6 @@ import time
 
 from repro.core.engine import as_engine
 from repro.core.fd_graph import FdTransactionGraph
-from repro.core.possible_worlds import get_maximal
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
@@ -76,7 +75,7 @@ def batch_dcsat(
     # One sweep over maximal worlds for everything still open.
     if open_indexes:
         for clique in fd_graph.maximal_cliques(pivot=pivot):
-            world = get_maximal(workspace, clique)
+            world = workspace.ind_support.maximal_world(clique)
             still_open: list[int] = []
             for index in open_indexes:
                 stats = stats_list[index]

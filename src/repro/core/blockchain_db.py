@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from repro.errors import IntegrityViolationError, ReproError
 from repro.relational.checking import find_violations
@@ -61,6 +61,11 @@ class BlockchainDatabase:
     @property
     def pending_ids(self) -> tuple[str, ...]:
         return tuple(self._pending)
+
+    @property
+    def pending_id_view(self) -> KeysView[str]:
+        """Live, copy-free view of the pending ids (O(1) membership)."""
+        return self._pending.keys()
 
     def transaction(self, tx_id: str) -> Transaction:
         try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.bitset import make_fd_graph
 from repro.core.blockchain_db import BlockchainDatabase
-from repro.core.possible_worlds import enumerate_possible_worlds, get_maximal
+from repro.core.possible_worlds import enumerate_possible_worlds
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
 from repro.query.analysis import is_monotone
@@ -100,7 +100,7 @@ def possible_answers(
     fd_graph = make_fd_graph(None, workspace)
     answers: set[Answer] = set()
     for clique in fd_graph.maximal_cliques(pivot=pivot):
-        world = get_maximal(workspace, clique)
+        world = workspace.ind_support.maximal_world(clique)
         workspace.set_active(world)
         answers |= _answers_over(query, workspace)
     workspace.clear_active()

@@ -2,7 +2,8 @@
 
 :class:`DCSatChecker` owns the precomputed structures the paper keeps
 between checks — the merged store with its ``current`` cursor, the
-per-transaction "can be included in R" status, the fd-transaction graph
+per-transaction "can be included in R" status (the workspace's
+IND-support index, :mod:`repro.core.ind_support`), the fd-transaction graph
 and the Θ_I side of the ind-q-transaction graph — maintains them as
 transactions are issued and committed, and answers denial-constraint
 satisfaction with the algorithm of the caller's choice:
@@ -136,8 +137,7 @@ class DCSatChecker:
         a block.  Pending transactions now clashing with the new facts
         become never-appendable, as with :meth:`commit`.
         """
-        for rel, values in tx:
-            self.workspace.base.insert(rel, values)
+        self.workspace.absorb(tx)
         self.fd_graph.refresh_after_commit()
         self.ind_graph.invalidate()
         self.backend.on_commit(tx)

@@ -684,7 +684,9 @@ class ConstraintMonitor:
     # ------------------------------------------------------------------
     # State changes (targeted invalidation)
 
-    def _invalidate_touching(self, relations: frozenset[str]) -> list[str]:
+    def _invalidate_touching(
+        self, relations: frozenset[str]
+    ) -> tuple[list[str], list[str]]:
         """Drop cached verdicts over relations the change can reach.
 
         The changed relations are first expanded through ind-connectivity
@@ -693,6 +695,12 @@ class ConstraintMonitor:
         never mentions ``A``, because it changes which transactions are
         appendable over an ind-coupled (or co-written) relation ``B``.
         Intersecting raw footprints served stale verdicts in that case.
+
+        Returns ``(invalidated, reached)``: the constraints whose cached
+        verdict was dropped, and every constraint whose footprint meets
+        the coupled relations.  The ledger needs the second list — a
+        constraint whose verdict an earlier issue already dropped still
+        holds component entries a commit must dirty.
         """
         with obs_span("monitor.invalidate") as sp:
             touched = coupled_relations(
@@ -700,20 +708,24 @@ class ConstraintMonitor:
                 self.checker.db.constraints,
                 (tx.relation_names for tx in self.checker.db.pending),
             )
-            invalidated = []
+            invalidated, reached = [], []
             for entry in self._entries.values():
-                if entry.result is not None and entry.relations & touched:
-                    entry.result = None
-                    invalidated.append(entry.name)
+                if entry.relations & touched:
+                    reached.append(entry.name)
+                    if entry.result is not None:
+                        entry.result = None
+                        invalidated.append(entry.name)
             sp.set(touched=len(touched), invalidated=len(invalidated))
-        return invalidated
+        return invalidated, reached
 
     def _note_change(
-        self, kind: str, tx_id: str | None, invalidated: list[str]
+        self, kind: str, tx_id: str | None, relations: frozenset[str]
     ) -> list[str]:
-        """Propagate one state change into the ledger's dirty-sets."""
+        """Invalidate cached verdicts and propagate one state change
+        into the ledger's dirty-sets; returns the invalidated names."""
+        invalidated, reached = self._invalidate_touching(relations)
         self.last_dirty_components = self.ledger.note_change(
-            kind, tx_id, invalidated, self.checker.epoch
+            kind, tx_id, reached, self.checker.epoch
         )
         for name, count in self.last_dirty_components.items():
             self._dirty_since_check[name] = (
@@ -725,18 +737,15 @@ class ConstraintMonitor:
         """Forward a newly issued transaction; returns the names of the
         constraints whose cached verdicts were invalidated."""
         self.checker.issue(tx)
-        invalidated = self._invalidate_touching(frozenset(tx.relation_names))
-        return self._note_change("issue", tx.tx_id, invalidated)
+        return self._note_change("issue", tx.tx_id, frozenset(tx.relation_names))
 
     def commit(self, tx_id: str) -> list[str]:
         tx = self.checker.commit(tx_id)
-        invalidated = self._invalidate_touching(frozenset(tx.relation_names))
-        return self._note_change("commit", tx_id, invalidated)
+        return self._note_change("commit", tx_id, frozenset(tx.relation_names))
 
     def forget(self, tx_id: str) -> list[str]:
         tx = self.checker.forget(tx_id)
-        invalidated = self._invalidate_touching(frozenset(tx.relation_names))
-        return self._note_change("forget", tx_id, invalidated)
+        return self._note_change("forget", tx_id, frozenset(tx.relation_names))
 
     def absorb(self, tx: Transaction) -> list[str]:
         """Insert externally committed facts (mined-block coinbases,
@@ -747,8 +756,7 @@ class ConstraintMonitor:
         monitor left every cached verdict stale.
         """
         self.checker.absorb(tx)
-        invalidated = self._invalidate_touching(frozenset(tx.relation_names))
-        return self._note_change("absorb", None, invalidated)
+        return self._note_change("absorb", None, frozenset(tx.relation_names))
 
     def __repr__(self) -> str:
         cached = sum(1 for e in self._entries.values() if e.result is not None)

@@ -1,11 +1,12 @@
 """NaiveDCSat (Figure 4).
 
 Iterates over every maximal clique of the fd-transaction graph, builds
-the unique maximal possible world for the clique with ``getMaximal``,
-and evaluates the denial constraint there.  Sound and complete for
-*monotone* denial constraints: a monotone query satisfied in any world
-is satisfied in some maximal world, and every maximal world arises from
-a maximal clique.
+the unique maximal possible world for the clique (``getMaximal``,
+computed by the workspace's IND-support index,
+:mod:`repro.core.ind_support`), and evaluates the denial constraint
+there.  Sound and complete for *monotone* denial constraints: a
+monotone query satisfied in any world is satisfied in some maximal
+world, and every maximal world arises from a maximal clique.
 
 Enumeration and evaluation are decoupled: :func:`maximal_worlds` emits
 the evaluation plan (a pure stream of candidate active-sets, no side
@@ -20,7 +21,6 @@ from typing import Callable, Iterator
 
 from repro.core.engine import EvaluationEngine, as_engine
 from repro.core.fd_graph import FdTransactionGraph
-from repro.core.possible_worlds import get_maximal
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.obs.trace import span as obs_span
@@ -45,8 +45,9 @@ def maximal_worlds(
     engine charges ``cliques_enumerated`` / ``worlds_checked`` /
     ``evaluations`` per world it actually examines.
     """
+    maximal_world = workspace.ind_support.maximal_world
     for clique in fd_graph.maximal_cliques(restrict=restrict, pivot=pivot):
-        yield get_maximal(workspace, clique)
+        yield maximal_world(clique)
 
 
 def naive_dcsat(

@@ -9,7 +9,11 @@ closure (Section 4).  This module provides:
 * :func:`is_possible_world` — the PTIME recognition of Proposition 1;
 * :func:`get_maximal` — the ``getMaximal`` procedure of Figure 4, over a
   :class:`~repro.core.workspace.Workspace` (it mutates the workspace's
-  active set to the maximal world it constructs).
+  active set to the maximal world it constructs).  The clique sweeps
+  build their worlds through the workspace's IND-support index instead
+  (:mod:`repro.core.ind_support`); this generic fixpoint serves candidate
+  sets that may conflict, where arrival order decides, and is the
+  index's test oracle.
 
 Why the greedy fixpoints are correct: functional-dependency satisfaction
 is *anti-monotone* (every subset of a satisfying relation satisfies the

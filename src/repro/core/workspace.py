@@ -21,6 +21,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.blockchain_db import BlockchainDatabase
+from repro.core.ind_support import IndSupportIndex
 from repro.errors import ReproError
 from repro.relational.relation import project
 from repro.relational.transaction import Transaction
@@ -43,6 +44,11 @@ class Workspace:
         self._active: frozenset[str] = frozenset()
         for tx in db.pending:
             self._index_transaction(tx)
+        #: Bumped by every issue / commit / forget / absorb; derived
+        #: caches (the IND-support index) key themselves on it.
+        self.version = 0
+        #: Provider sets behind the fd-clique maximal worlds.
+        self.ind_support = IndSupportIndex(self)
 
     # ------------------------------------------------------------------
     # Maintenance (steady state: issue / commit)
@@ -94,21 +100,28 @@ class Workspace:
         """Add a newly issued transaction to the pending structures."""
         self.db.add_pending(tx)
         self._index_transaction(tx)
+        self.version += 1
 
     def commit(self, tx_id: str) -> Transaction:
         """Move a pending transaction into the committed base state."""
         tx = self.db.remove_pending(tx_id)
         self._unindex_transaction(tx)
-        for rel, values in tx:
-            self.base.insert(rel, values)
+        self.absorb(tx)
         if tx_id in self._active:
             self._active = self._active - {tx_id}
         return tx
+
+    def absorb(self, tx: Transaction) -> None:
+        """Insert committed facts straight into the base state."""
+        for rel, values in tx:
+            self.base.insert(rel, values)
+        self.version += 1
 
     def forget(self, tx_id: str) -> Transaction:
         """Drop a pending transaction without committing it."""
         tx = self.db.remove_pending(tx_id)
         self._unindex_transaction(tx)
+        self.version += 1
         if tx_id in self._active:
             self._active = self._active - {tx_id}
         return tx
@@ -128,8 +141,9 @@ class Workspace:
         real UPDATE statements.
         """
         active = frozenset(tx_ids)
-        unknown = active - set(self.db.pending_ids)
-        if unknown:
+        pending = self.db.pending_id_view
+        if not pending >= active:
+            unknown = {tx_id for tx_id in active if tx_id not in pending}
             raise ReproError(f"unknown transaction ids in active set: {unknown}")
         self._active = active
 

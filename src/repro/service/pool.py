@@ -193,8 +193,7 @@ def _sync_worker(
             backend.on_forget(tx)
         elif op == "absorb":
             tx = _transaction_from_wire(payload)
-            for rel, values in tx:
-                workspace.base.insert(rel, values)
+            workspace.absorb(tx)
             fd_graph.refresh_after_commit()
             backend.on_commit(tx)
         else:  # pragma: no cover - defensive

@@ -264,6 +264,38 @@ def ind_db() -> BlockchainDatabase:
     return BlockchainDatabase(current, constraints, pending)
 
 
+class TestCommitAfterIssue:
+    def test_issue_then_commit_dirties_the_ledger(self):
+        """Regression: an issue drops the cached verdict, so the commit
+        that follows finds nothing cached — yet the ledger still holds
+        the constraint's pre-commit component entries and must dirty
+        them.  Reusing them reported V4's component as satisfied."""
+        monitor = ConstraintMonitor(DCSatChecker(ind_db()))
+        monitor.register("orphan", "q() <- C(3, v)")
+        assert monitor.status("orphan").satisfied
+        monitor.issue(Transaction({"P": [(3,)]}, tx_id="V-P3"))
+        monitor.commit("V-P3")
+        assert monitor.last_dirty_components == {"orphan": 1}
+        served = monitor.status("orphan")
+
+        checker = DCSatChecker(ind_db())
+        checker.issue(Transaction({"P": [(3,)]}, tx_id="V-P3"))
+        checker.commit("V-P3")
+        fresh = checker.check("q() <- C(3, v)")
+
+        assert not fresh.satisfied
+        assert served.satisfied == fresh.satisfied
+        assert served.witness == fresh.witness
+        for counter in (
+            "components_total", "components_pruned", "max_component_size",
+            "cliques_enumerated", "worlds_checked", "evaluations",
+            "components_reused",
+        ):
+            assert getattr(served.stats, counter) == getattr(
+                fresh.stats, counter
+            ), counter
+
+
 class TestRevalidateMode:
     def test_witness_revalidation_keeps_the_verdict(self, figure2):
         monitor = ConstraintMonitor(

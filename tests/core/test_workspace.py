@@ -122,6 +122,25 @@ class TestSteadyState:
         ws.set_active({"T3"})
         assert set(ws.lookup("R", (0,), (2,))) == {(2, "t1"), (2, "t3")}
 
+    def test_absorb_inserts_into_base(self, ws):
+        ws.absorb(Transaction({"R": [(9, "mined")]}, tx_id="X"))
+        assert (9, "mined") in ws.base["R"]
+        assert "X" not in ws.db.pending_ids
+
+    def test_every_state_change_bumps_the_version(self, ws):
+        versions = [ws.version]
+        ws.issue(Transaction({"R": [(4, "t4")]}, tx_id="T4"))
+        versions.append(ws.version)
+        ws.commit("T1")
+        versions.append(ws.version)
+        ws.forget("T3")
+        versions.append(ws.version)
+        ws.absorb(Transaction({"R": [(9, "mined")]}, tx_id="X"))
+        versions.append(ws.version)
+        ws.set_active({"T2"})
+        assert ws.version == versions[-1]
+        assert versions == sorted(set(versions))
+
     def test_counts(self, ws):
         assert ws.count_tuples("R") >= 4  # base + pending upper bound
         assert ws.pending_tuple_count() == 4
