@@ -149,10 +149,7 @@ def assignment_dcsat(
     stats.algorithm = stats.algorithm or "assign"
 
     workspace.activate_all()
-    # Materialize matches first: the workspace's active set changes
-    # during world construction, which would disturb a live iterator.
-    matches = [list(matched) for _, matched in iter_matches(query, workspace)]
-    for matched in matches:
+    for _, matched in iter_matches(query, workspace):
         stats.assignments_examined += 1
         for support in _support_sets(workspace, matched):
             world = _world_containing(

@@ -92,22 +92,25 @@ def normalize(
         return query, Verdict.UNSATISFIABLE
 
     # Substitute bindings into atoms and comparisons.
-    atoms = [
-        Atom(
-            atom.relation,
-            tuple(_apply_bindings(t, bindings) for t in atom.terms),
-            negated=atom.negated,
-        )
-        for atom in body.atoms
-    ]
-    comparisons = [
-        Comparison(
-            _apply_bindings(c.left, bindings),
-            c.op,
-            _apply_bindings(c.right, bindings),
-        )
-        for c in comparisons
-    ]
+    if bindings:
+        atoms = [
+            Atom(
+                atom.relation,
+                tuple(_apply_bindings(t, bindings) for t in atom.terms),
+                negated=atom.negated,
+            )
+            for atom in body.atoms
+        ]
+        comparisons = [
+            Comparison(
+                _apply_bindings(c.left, bindings),
+                c.op,
+                _apply_bindings(c.right, bindings),
+            )
+            for c in comparisons
+        ]
+    else:
+        atoms = list(body.atoms)
 
     kept_comparisons: list[Comparison] = []
     for comparison in comparisons:
@@ -147,6 +150,14 @@ def normalize(
         if key not in seen_comparisons:
             seen_comparisons.add(key)
             unique_comparisons.append(comparison)
+
+    if (
+        not bindings
+        and len(unique_atoms) == len(body.atoms)
+        and len(unique_comparisons) == len(body.comparisons)
+    ):
+        # Nothing to simplify: the rebuilt query would equal the input.
+        return query, Verdict.NORMAL
 
     try:
         new_body = ConjunctiveQuery(

@@ -45,6 +45,12 @@ class TestSimplification:
         assert verdict is Verdict.NORMAL
         assert query.comparisons == ()
 
+    def test_normal_query_returned_unchanged(self):
+        original = parse_query("q() <- R(x, y), S(y, 'a'), x != y")
+        query, verdict = normalize(original)
+        assert verdict is Verdict.NORMAL
+        assert query is original
+
     def test_duplicate_atoms_merged(self):
         query, _ = norm("q() <- R(x, y), R(x, y), S(x)")
         assert len(query.atoms) == 2

@@ -259,9 +259,11 @@ class TestDeadlines:
 class TestBackpressure:
     def test_busy_rejection_carries_retry_after(self):
         release = threading.Event()
+        in_flight = threading.Event()
 
         def slow_status(op, args):
             if op == "status":
+                in_flight.set()
                 release.wait(timeout=5.0)
 
         checker, service, handle = running_service(
@@ -287,7 +289,11 @@ class TestBackpressure:
                     outcomes.append(result)
 
             threads = [threading.Thread(target=hammer) for _ in range(4)]
-            for thread in threads:
+            # The first request must reach the solver before the others
+            # arrive, or two of them race for the one queue slot.
+            threads[0].start()
+            assert in_flight.wait(timeout=5.0)
+            for thread in threads[1:]:
                 thread.start()
             # Let all four requests land before releasing the solver:
             # 1 in flight + 1 queued; the other two must bounce.

