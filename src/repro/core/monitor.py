@@ -31,8 +31,8 @@ from repro.core.incremental import (
 )
 from repro.core.opt import (
     component_survivors,
-    solve_component,
     solve_component_async,
+    sweep_components,
 )
 from repro.core.results import DCSatResult, DCSatStats
 from repro.errors import ReproError
@@ -491,50 +491,30 @@ class ConstraintMonitor:
     ) -> frozenset[str] | None:
         """Sweep the components the ledger could not answer.
 
-        Dispatches through the checker's solver pool when one is
-        attached and the dirty set is worth fanning out; otherwise
-        sweeps sequentially in ascending index order with the usual
-        early stop.  Solved components are stored back into the ledger;
-        returns the lowest-index violating witness, if any.
+        Goes through the checker's solver pool when one is attached (the
+        pool decides whether the dirty set is worth fanning out);
+        otherwise sweeps in-process in ascending index order with the
+        usual early stop.  Solved components are stored back into the
+        ledger; components the sweep never reached are not.  Returns the
+        lowest-index violating witness, if any.
         """
         if not indices:
             return None
         checker = self.checker
         counters = self.ledger.counters
+        items = [(index, survivors[index]) for index in indices]
         pool = getattr(checker, "pool", None)
-        if (
-            pool is not None
-            and pool.max_workers > 1
-            and len(indices) >= max(2, pool.min_components)
-        ):
+        if pool is not None:
             resolved = pool.solve_components(
-                query,
-                [(index, survivors[index]) for index in indices],
-                pivot=pivot,
-                stats=stats,
+                query, items, pivot=pivot, stats=stats
             )
         else:
-            resolved = {}
-            for index in indices:
-                candidates = survivors[index]
-                cliques_before = stats.cliques_enumerated
-                sweep_started = time.perf_counter()
-                with obs_span("solve_component", component=index):
-                    witness = solve_component(
-                        checker.workspace, checker.fd_graph, query,
-                        candidates, checker.engine, pivot=pivot, stats=stats,
-                    )
-                default_cost_model().observe(
-                    time.perf_counter() - sweep_started,
-                    len(candidates),
-                    engine=checker.engine.name,
-                    planner=getattr(checker, "planner", ""),
-                    cliques=stats.cliques_enumerated - cliques_before,
-                    mode="sweep",
-                )
-                resolved[index] = witness
-                if witness is not None:
-                    break
+            resolved = sweep_components(
+                checker.workspace, checker.fd_graph, query, items,
+                checker.engine, default_cost_model(),
+                planner=getattr(checker, "planner", ""),
+                pivot=pivot, stats=stats,
+            )
         best_index: int | None = None
         best_witness: frozenset[str] | None = None
         for index, witness in resolved.items():

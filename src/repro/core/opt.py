@@ -26,6 +26,8 @@ crafted instance demonstrating the divergence, and
 
 from __future__ import annotations
 
+import time
+
 from repro.core.coverage import covers
 from repro.core.engine import EvaluationEngine, as_engine
 from repro.core.fd_graph import FdTransactionGraph
@@ -34,6 +36,7 @@ from repro.core.naive import WorldEvaluator, maximal_worlds
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
+from repro.obs.perf import CostModel
 from repro.obs.trace import span as obs_span
 from repro.query.analysis import constant_patterns, is_connected
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
@@ -124,6 +127,49 @@ def solve_component(
         after = stats.cliques_enumerated if stats is not None else 0
         sp.set(cliques=after - before, violated=witness is not None)
     return witness
+
+
+def sweep_components(
+    workspace: Workspace,
+    fd_graph: FdTransactionGraph,
+    query: ConjunctiveQuery | AggregateQuery,
+    items: list[tuple[int, set[str]]],
+    engine: EvaluationEngine,
+    cost_model: CostModel,
+    planner: str = "",
+    pivot: bool = True,
+    stats: DCSatStats | None = None,
+) -> dict[int, frozenset[str] | None]:
+    """Solve ``(index, candidates)`` units in-process, in the given order.
+
+    The in-process sweep behind the monitor's verdict ledger and the
+    solver pool's small-set path.  *items* arrive in ascending index
+    order, so the sweep stops at the first witness: no later component
+    can hold the deterministic (lowest-index) one.  Every solve is timed
+    into *cost_model*, which is what warms the pool's group planner.
+    Returns ``{index: witness}`` for every component solved.
+    """
+    stats = stats if stats is not None else DCSatStats()
+    resolved: dict[int, frozenset[str] | None] = {}
+    for index, candidates in items:
+        cliques_before = stats.cliques_enumerated
+        started = time.perf_counter()
+        with obs_span("solve_component", component=index):
+            witness = solve_component(
+                workspace, fd_graph, query, candidates, engine,
+                pivot=pivot, stats=stats,
+            )
+        cost_model.observe(
+            time.perf_counter() - started,
+            len(candidates),
+            engine=engine.name,
+            planner=planner,
+            cliques=stats.cliques_enumerated - cliques_before,
+        )
+        resolved[index] = witness
+        if witness is not None:
+            break
+    return resolved
 
 
 async def solve_component_async(

@@ -36,11 +36,17 @@ parallel.  :class:`SolverPool` fans those units out across a
   inherit the parent's hash seed under the default ``fork`` start
   method, keeping clique enumeration order aligned).
 
-* **Early cancel.**  A worker stops inside its own group at the first
+* **Early stop.**  A worker stops inside its own group at the first
   violating component (everything after it in the group has a higher
-  index); the coordinator additionally cancels every not-yet-started
-  group whose lowest index exceeds the best witness index found so
-  far.
+  index).  Across groups, the coordinator publishes each new best
+  witness index, tagged with the dispatch's id, in a shared-memory
+  *stop word*; every worker reads the word before each component and
+  returns early once its next component's index is above the
+  published one.  Groups that have not started and whose lowest index
+  exceeds the best witness are cancelled outright.  The coordinator
+  still waits for running groups — they end at their next component
+  boundary — so abandoned sweeps never compete with the next request
+  for the CPU.
 
 :class:`PooledDCSatChecker` is a drop-in :class:`DCSatChecker` that
 routes eligible checks through the pool, so a
@@ -50,6 +56,7 @@ above it) parallelizes without code changes.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import time
@@ -62,7 +69,7 @@ from repro.core.checker import DCSatChecker
 from repro.core.bitset import make_fd_graph
 from repro.core.engine import EvaluationEngine, make_engine, resolve_engine_name
 from repro.core.fd_graph import FdTransactionGraph
-from repro.core.opt import component_survivors, solve_component
+from repro.core.opt import component_survivors, solve_component, sweep_components
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError, ServiceError
@@ -91,6 +98,39 @@ def default_pool_size() -> int:
 # initializer and advanced incrementally by the op log.
 
 _WORKER_CTX: dict | None = None
+
+#: The pool's shared stop word (a ``multiprocessing`` signed 64-bit
+#: value), installed by the initializer.  It holds ``-1`` or a packed
+#: ``(dispatch id, best witness index)``; see :func:`_pack_stop`.
+_STOP_WORD = None
+
+#: Low bits of the stop word that carry the best witness index; the
+#: dispatch id takes the remaining bits of the non-negative range.
+_STOP_INDEX_BITS = 24
+_STOP_INDEX_MASK = (1 << _STOP_INDEX_BITS) - 1
+_STOP_DISPATCH_LIMIT = 1 << (63 - _STOP_INDEX_BITS)
+
+
+def _pack_stop(dispatch_id: int, index: int) -> int | None:
+    """The stop word announcing a witness at *index* in *dispatch_id*.
+
+    ``None`` when either field does not fit its bits: a truncated field
+    could alias another dispatch or a lower index and stop a worker
+    that still matters, while publishing nothing only loses the
+    speed-up.  Ids are never reused, and no word ever carries an id at
+    or past the limit, so such dispatches never match a word either.
+    """
+    if index > _STOP_INDEX_MASK or dispatch_id >= _STOP_DISPATCH_LIMIT:
+        return None
+    return dispatch_id << _STOP_INDEX_BITS | index
+
+
+def _stop_reached(dispatch_id: int, index: int) -> bool:
+    """Has this dispatch published a witness below component *index*?"""
+    word = _STOP_WORD.value
+    return word >> _STOP_INDEX_BITS == dispatch_id and index > (
+        word & _STOP_INDEX_MASK
+    )
 
 
 def _transaction_to_wire(tx: Transaction) -> dict:
@@ -136,12 +176,17 @@ def _build_worker_ctx(
 
 
 def _init_worker(
-    db_payload: dict, backend_name: str, engine_name: str, base_epoch: int
+    db_payload: dict,
+    backend_name: str,
+    engine_name: str,
+    base_epoch: int,
+    stop_word,
 ) -> None:
-    global _WORKER_CTX
+    global _WORKER_CTX, _STOP_WORD
     _WORKER_CTX = _build_worker_ctx(
         db_payload, backend_name, engine_name, base_epoch
     )
+    _STOP_WORD = stop_word
 
 
 def _sync_worker(
@@ -207,13 +252,16 @@ def _solve_component_group_task(
     query: Query,
     group: tuple[tuple[int, tuple[str, ...]], ...],
     pivot: bool,
+    dispatch_id: int,
 ) -> list[tuple[int, frozenset[str] | None, DCSatStats, list[dict]]]:
     """One planned group of per-component checks, run inside a worker.
 
     *group* holds ``(index, candidates)`` pairs in ascending index
     order.  Solving stops at the first violating component: everything
     after it in the group has a higher index, so it can never yield the
-    deterministic (lowest-index) witness.  Each solved component
+    deterministic (lowest-index) witness.  For the same reason it stops
+    before any component whose index is above a witness another group
+    of dispatch *dispatch_id* found (the stop word).  Each solved component
     returns its witness, its own work counters (timed individually, so
     the coordinator can feed the cost model per component), and the
     spans it produced — traced locally in this worker process and
@@ -225,6 +273,8 @@ def _solve_component_group_task(
     tracer = default_tracer()
     records: list[tuple[int, frozenset[str] | None, DCSatStats, list[dict]]] = []
     for index, candidates in group:
+        if _stop_reached(dispatch_id, index):
+            break
         stats = DCSatStats(
             algorithm="opt-pool",
             parallel_tasks=1,
@@ -351,6 +401,12 @@ class SolverPool:
         self.resync_ops = resync_ops
         self.min_components = min_components
         self._executor: ProcessPoolExecutor | None = None
+        #: Shared with the workers of the current executor; a new
+        #: executor gets a new word (see :func:`_pack_stop`).
+        self._stop_word = None
+        #: Dispatch ids tag stop words, so a witness published for one
+        #: dispatch never stops a group of another.
+        self._dispatch_ids = itertools.count(1)
         self._base_epoch = 0
         self._oplog: list[tuple[str, object]] = []
         #: Fresh snapshot shipped with the sync payload after a
@@ -396,13 +452,16 @@ class SolverPool:
             self._base_epoch = self.checker.epoch
             self._oplog = []
             self._snapshot = None
+            # Only the coordinator writes the word, one aligned 64-bit
+            # store per publish, so it needs no lock.
+            self._stop_word = ctx.Value("q", -1, lock=False)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(
                     payload, self._backend_name, self._engine_name,
-                    self._base_epoch,
+                    self._base_epoch, self._stop_word,
                 ),
             )
         return self._executor
@@ -495,31 +554,26 @@ class SolverPool:
                     use_coverage=use_coverage,
                     stats=stats,
                 )
-                if (
-                    len(survivors) < max(2, self.min_components)
-                    or self.max_workers <= 1
-                ):
-                    return self._solve_sequential(query, survivors, pivot, stats)
-                return self._solve_parallel(query, survivors, pivot, stats)
+                resolved = self.solve_components(
+                    query, list(enumerate(survivors)), pivot, stats
+                )
+                violated = [
+                    index
+                    for index, witness in resolved.items()
+                    if witness is not None
+                ]
+                if violated:
+                    return DCSatResult(
+                        satisfied=False,
+                        witness=resolved[min(violated)],
+                        stats=stats,
+                    )
+                return DCSatResult(satisfied=True, stats=stats)
             finally:
                 checker.workspace.clear_active()
                 if stats.elapsed_seconds == 0.0:
                     stats.elapsed_seconds = time.perf_counter() - started
                 sp.fold_stats(stats)
-
-    def _observe_component(
-        self, seconds: float, size: int, cliques: int = 0,
-        mode: str = "sweep",
-    ) -> None:
-        """Feed one per-component timing into the shared cost model."""
-        self.cost_model.observe(
-            seconds,
-            size,
-            engine=self._engine_name,
-            planner=self._planner_name,
-            cliques=cliques,
-            mode=mode,
-        )
 
     def plan_groups(
         self,
@@ -581,61 +635,6 @@ class SolverPool:
             [load for _, load in planned],
         )
 
-    def _solve_sequential(
-        self,
-        query: Query,
-        survivors: list[set[str]],
-        pivot: bool,
-        stats: DCSatStats,
-    ) -> DCSatResult:
-        for index, candidates in enumerate(survivors):
-            cliques_before = stats.cliques_enumerated
-            started = time.perf_counter()
-            with obs_span("solve_component", component=index):
-                witness = solve_component(
-                    self.checker.workspace,
-                    self.checker.fd_graph,
-                    query,
-                    candidates,
-                    self.checker.engine,
-                    pivot=pivot,
-                    stats=stats,
-                )
-            # The sequential path warms the same cost model the parallel
-            # planner reads, so a pool that starts below min_components
-            # still learns component costs.
-            self._observe_component(
-                time.perf_counter() - started,
-                len(candidates),
-                cliques=stats.cliques_enumerated - cliques_before,
-            )
-            if witness is not None:
-                return DCSatResult(satisfied=False, witness=witness, stats=stats)
-        return DCSatResult(satisfied=True, stats=stats)
-
-    def _solve_parallel(
-        self,
-        query: Query,
-        survivors: list[set[str]],
-        pivot: bool,
-        stats: DCSatStats,
-    ) -> DCSatResult:
-        resolved = self._dispatch_components(
-            query, list(enumerate(survivors)), pivot, stats
-        )
-        best_index: int | None = None
-        best_witness: frozenset[str] | None = None
-        for index, witness in resolved.items():
-            if witness is not None and (
-                best_index is None or index < best_index
-            ):
-                best_index, best_witness = index, witness
-        if best_index is not None:
-            return DCSatResult(
-                satisfied=False, witness=best_witness, stats=stats
-            )
-        return DCSatResult(satisfied=True, stats=stats)
-
     def solve_components(
         self,
         query: Query,
@@ -643,42 +642,34 @@ class SolverPool:
         pivot: bool = True,
         stats: DCSatStats | None = None,
     ) -> dict[int, frozenset[str] | None]:
-        """Solve an explicit subset of components.
+        """Solve ``(index, candidates)`` units, fanning out when worth it.
 
         *items* holds ``(index, candidates)`` pairs in ascending index
-        order — the monitor's verdict ledger dispatches only its *dirty*
-        components here, keeping the ledger's reused components off the
-        workers entirely (docs/INCREMENTAL.md).  Returns a mapping from
-        component index to witness for every component actually solved;
-        indices above the lowest-index witness may be absent (early
-        stop / early cancel), exactly the components a sequential solve
-        would not have reached either.
+        order: all survivors for :meth:`check`, only the *dirty*
+        components for the monitor's verdict ledger, which keeps its
+        reused components off the workers entirely
+        (docs/INCREMENTAL.md).  Fewer than ``max(2, min_components)``
+        units, or a one-worker pool, sweep in-process.  Returns a mapping
+        from component index to witness for every component actually
+        solved; indices above the lowest-index witness may be absent
+        (early stop), exactly the components a sequential solve would
+        not have reached either.
         """
         stats = stats if stats is not None else DCSatStats()
         if len(items) < max(2, self.min_components) or self.max_workers <= 1:
-            resolved: dict[int, frozenset[str] | None] = {}
-            for index, candidates in items:
-                cliques_before = stats.cliques_enumerated
-                started = time.perf_counter()
-                with obs_span("solve_component", component=index):
-                    witness = solve_component(
-                        self.checker.workspace,
-                        self.checker.fd_graph,
-                        query,
-                        candidates,
-                        self.checker.engine,
-                        pivot=pivot,
-                        stats=stats,
-                    )
-                self._observe_component(
-                    time.perf_counter() - started,
-                    len(candidates),
-                    cliques=stats.cliques_enumerated - cliques_before,
-                )
-                resolved[index] = witness
-                if witness is not None:
-                    break
-            return resolved
+            # Too few units to pay for fan-out: sweep in-process, feeding
+            # the same cost model the parallel planner reads.
+            return sweep_components(
+                self.checker.workspace,
+                self.checker.fd_graph,
+                query,
+                items,
+                self.checker.engine,
+                self.cost_model,
+                planner=self._planner_name,
+                pivot=pivot,
+                stats=stats,
+            )
         return self._dispatch_components(query, items, pivot, stats)
 
     def _dispatch_components(
@@ -690,14 +681,14 @@ class SolverPool:
     ) -> dict[int, frozenset[str] | None]:
         """Fan ``(index, candidates)`` units across the worker pool.
 
-        The shared core of :meth:`_solve_parallel` (all survivors) and
-        :meth:`solve_components` (a dirty subset): plan groups over the
-        given units, dispatch, merge stats/spans/cost observations, and
-        early-cancel groups whose lowest index exceeds the best witness
-        found so far.  Returns ``{index: witness}`` for every solved
-        component.
+        The parallel path of :meth:`solve_components`: plan groups over
+        the given units, dispatch, merge stats/spans/cost observations, and
+        stop work above the best witness found so far: publish it in the
+        stop word for running groups, cancel groups not yet started.
+        Returns ``{index: witness}`` for every solved component.
         """
         executor, sync = self._prepare()
+        dispatch_id = next(self._dispatch_ids)
         tracer = default_tracer()
         subset = [candidates for _, candidates in items]
         position_groups, strategy, predicted = self.plan_groups(subset)
@@ -728,11 +719,12 @@ class SolverPool:
                     for index in group
                 )
                 future = executor.submit(
-                    _solve_component_group_task, sync, query, payload, pivot
+                    _solve_component_group_task, sync, query, payload, pivot,
+                    dispatch_id,
                 )
                 futures[future] = group_index
             best_index: int | None = None
-            cancelled = 0
+            cancelled = skipped = 0
             group_elapsed: dict[int, float] = {}
             pending = set(futures)
             try:
@@ -743,13 +735,19 @@ class SolverPool:
                             continue
                         records = future.result()
                         group_index = futures[future]
+                        if not records or records[-1][1] is None:
+                            # Unless the group ended at its own witness,
+                            # the stop word cut every component it left.
+                            skipped += len(groups[group_index]) - len(records)
                         elapsed = 0.0
                         for index, witness, task_stats, spans in records:
                             stats.merge(task_stats)
                             tracer.adopt(spans, dispatch)
-                            self._observe_component(
+                            self.cost_model.observe(
                                 task_stats.elapsed_seconds,
                                 task_stats.max_component_size,
+                                engine=self._engine_name,
+                                planner=self._planner_name,
                                 cliques=task_stats.cliques_enumerated,
                             )
                             elapsed += task_stats.elapsed_seconds
@@ -760,9 +758,13 @@ class SolverPool:
                                 best_index = index
                         group_elapsed[group_index] = elapsed
                     if best_index is not None:
-                        # Early cancel: a group whose lowest index exceeds
-                        # the best witness can no longer influence the
-                        # verdict (workers already stop within a group).
+                        # Components above the best witness can no longer
+                        # influence the verdict: running groups stop at
+                        # their next component boundary, groups that have
+                        # not started are cancelled.
+                        word = _pack_stop(dispatch_id, best_index)
+                        if word is not None:
+                            self._stop_word.value = word
                         for future in list(pending):
                             group = groups[futures[future]]
                             if group[0] > best_index and future.cancel():
@@ -771,11 +773,16 @@ class SolverPool:
             finally:
                 for future in pending:
                     future.cancel()
-                dispatch.set(cancelled=cancelled)
+                dispatch.set(cancelled=cancelled, skipped=skipped)
+                registry = default_registry()
+                registry.counter(
+                    "repro_pool_components_skipped_total",
+                    "Components of running worker groups left unsolved "
+                    "because a lower-index witness was already found.",
+                ).inc(skipped)
                 if group_elapsed:
                     observed = group_imbalance(list(group_elapsed.values()))
                     dispatch.set(observed_imbalance=round(observed, 4))
-                    registry = default_registry()
                     registry.gauge(
                         "repro_pool_group_imbalance",
                         "Observed makespan imbalance of the last parallel "

@@ -44,6 +44,33 @@ def component_db(components: int = 4, keys: int = 2) -> BlockchainDatabase:
     return BlockchainDatabase(state, constraints, pending)
 
 
+def q_p3_db(free: int = 6, keys: int = 6) -> BlockchainDatabase:
+    """A witness in the lowest-index component plus *free* costly ones.
+
+    Shaped like the paper's ``q_p3`` under ``Q_TWO_A``: component 0
+    (``A0``/``A1``, two ``'a'`` keys of cid 0) violates at its only
+    world, while every other cid writes ``'a'`` on key 0 only, with a
+    ``'b'``/``'c'`` conflict on each of *keys* further keys — ``2^keys``
+    maximal cliques and no witness.
+    """
+    schema = make_schema({"R": ["cid", "k", "v"]})
+    constraints = ConstraintSet(
+        schema, [FunctionalDependency("R", ["cid", "k"], ["v"])]
+    )
+    state = Database.from_dict(schema, {"R": []})
+    pending = [r_tx("A0", 0, 0, "a"), r_tx("A1", 0, 1, "a")]
+    for cid in range(1, free + 1):
+        for key in range(1, keys + 1):
+            for value in ("b", "c"):
+                pending.append(
+                    Transaction(
+                        {"R": [(cid, 0, "a"), (cid, key, value)]},
+                        tx_id=f"F{cid}K{key}{value}",
+                    )
+                )
+    return BlockchainDatabase(state, constraints, pending)
+
+
 def r_tx(tx_id: str, cid: int, key: int, value: str) -> Transaction:
     return Transaction({"R": [(cid, key, value)]}, tx_id=tx_id)
 

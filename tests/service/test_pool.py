@@ -7,13 +7,29 @@ the pool takes the lowest-index violating component, matching the
 sequential visit order).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro import serialize
 from repro.core.checker import DCSatChecker
+from repro.core.engine import resolve_engine_name
 from repro.core.monitor import ConstraintMonitor
+from repro.core.opt import component_survivors
 from repro.errors import AlgorithmError
+from repro.query.parser import parse_query
+from repro.service import pool as pool_module
+from repro.service.metrics import default_registry
 from repro.service.pool import PooledDCSatChecker, SolverPool
-from tests.service.conftest import Q_ABSENT, Q_CONFLICT, Q_TWO_A, component_db, r_tx
+from repro.storage import resolve_backend_name
+from tests.service.conftest import (
+    Q_ABSENT,
+    Q_CONFLICT,
+    Q_TWO_A,
+    component_db,
+    q_p3_db,
+    r_tx,
+)
 
 QUERIES = [Q_CONFLICT, Q_TWO_A, Q_ABSENT]
 
@@ -273,3 +289,143 @@ class TestSolverPoolDirect:
         finally:
             pool.shutdown()
             checker.close()
+
+
+def skipped_total() -> float:
+    return default_registry().counter(
+        "repro_pool_components_skipped_total"
+    ).value
+
+
+class TestEarlyStop:
+    """The stop word: a witness in one worker group stops the others."""
+
+    @staticmethod
+    def free_group(db, query):
+        """The witness-free components (indices 1..6) as one group."""
+        checker = DCSatChecker(db)
+        try:
+            survivors = component_survivors(
+                checker.workspace, checker.fd_graph, checker.ind_graph, query
+            )
+        finally:
+            checker.close()
+        assert len(survivors) == 7 and "A0" in survivors[0]
+        return tuple(
+            (index, tuple(sorted(candidates)))
+            for index, candidates in enumerate(survivors)
+            if index > 0
+        )
+
+    def test_worker_honours_only_its_own_dispatch(self, monkeypatch):
+        db = q_p3_db()
+        query = parse_query(Q_TWO_A)
+        group = self.free_group(db, query)
+        stop = SimpleNamespace(value=-1)
+        monkeypatch.setattr(pool_module, "_WORKER_CTX", None)
+        monkeypatch.setattr(pool_module, "_STOP_WORD", None)
+        pool_module._init_worker(
+            serialize.database_to_dict(db), resolve_backend_name(None),
+            resolve_engine_name(None), 0, stop,
+        )
+        sync = (0, 0, (), None)
+
+        def solved(dispatch_id):
+            records = pool_module._solve_component_group_task(
+                sync, query, group, True, dispatch_id
+            )
+            assert all(witness is None for _, witness, _, _ in records)
+            return [index for index, *_ in records]
+
+        try:
+            stop.value = pool_module._pack_stop(7, 0)
+            assert solved(7) == []  # nothing above index 0 is solved
+            assert solved(8) == [1, 2, 3, 4, 5, 6]  # stale dispatch id
+            stop.value = pool_module._pack_stop(7, 3)
+            assert solved(7) == [1, 2, 3]
+            # A dispatch id past the packing limit never matches a word.
+            limit = pool_module._STOP_DISPATCH_LIMIT
+            assert pool_module._pack_stop(limit, 0) is None
+            assert solved(limit + 7) == [1, 2, 3, 4, 5, 6]
+            assert pool_module._pack_stop(1, 1 << 24) is None
+        finally:
+            pool_module._WORKER_CTX["backend"].close()
+
+    def test_pooled_checks_match_sequential(self):
+        pooled = PooledDCSatChecker(q_p3_db(), max_workers=2)
+        sequential = DCSatChecker(q_p3_db())
+        try:
+            expected = sequential.check(Q_TWO_A, algorithm="opt")
+            assert expected.witness == frozenset({"A0", "A1"})
+            before = skipped_total()
+            for _ in range(30):
+                result = pooled.check(Q_TWO_A)
+                assert result.stats.algorithm == "opt-pool"
+                assert result.satisfied == expected.satisfied
+                assert result.witness == expected.witness
+            word = pooled.pool._stop_word.value
+            assert word & pool_module._STOP_INDEX_MASK == 0
+            # Six costly witness-free components against one instant
+            # witness: the stop must cut some sweeps short.
+            assert skipped_total() > before
+        finally:
+            pooled.close()
+            sequential.close()
+
+    def test_skipped_components_are_not_ledgered(self):
+        pooled = PooledDCSatChecker(q_p3_db(), max_workers=2)
+        try:
+            monitor = ConstraintMonitor(pooled)
+            # No short-circuit: once the witness dies, the union of all
+            # pending would decide the verdict without any sweep.
+            monitor.register("p3", Q_TWO_A, short_circuit=False)
+            counters = monitor.ledger.counters
+            before = skipped_total()
+            result = monitor.status("p3")
+            assert result.witness == frozenset({"A0", "A1"})
+            skipped = skipped_total() - before
+            stored = counters["swept"]
+            assert monitor.ledger.entry_count == stored
+            assert stored + skipped <= 7
+            # Kill the witness: every free component must now be
+            # answered, from the ledger only where it was really swept.
+            monitor.forget("A1")
+            swept_before = counters["swept"]
+            reused_before = counters["reused"]
+            result = monitor.status("p3")
+            assert result.satisfied
+            assert counters["reused"] - reused_before == stored - 1
+            assert counters["swept"] - swept_before == 7 - (stored - 1)
+        finally:
+            pooled.close()
+
+
+class TestSpawnStart:
+    def test_spawn_pool_parity_and_stop_word(self):
+        db = q_p3_db()
+        checker = DCSatChecker(db)
+        sequential = DCSatChecker(q_p3_db())
+        pool = SolverPool(checker, max_workers=2, start_method="spawn")
+        try:
+            for query in (Q_TWO_A, Q_CONFLICT):
+                expected = sequential.check(
+                    query, algorithm="opt", short_circuit=False
+                )
+                actual = pool.check(query, short_circuit=False)
+                assert actual.stats.parallel_tasks > 0
+                assert actual.satisfied == expected.satisfied
+                assert actual.witness == expected.witness
+            # A published word reaches the spawned workers.
+            executor, sync = pool._prepare()
+            pool._stop_word.value = pool_module._pack_stop(99, 0)
+            query = parse_query(Q_TWO_A)
+            group = TestEarlyStop.free_group(db, query)
+            future = executor.submit(
+                pool_module._solve_component_group_task,
+                sync, query, group, True, 99,
+            )
+            assert future.result(timeout=60) == []
+        finally:
+            pool.shutdown()
+            checker.close()
+            sequential.close()
