@@ -313,22 +313,13 @@ class BitsetFdGraph(FdTransactionGraph):
     — the ``2^K`` hot path — then runs entirely over ``int`` masks.
     """
 
-    #: Cached sweep universes beyond this count are dropped wholesale.
-    SWEEP_CACHE_LIMIT = 256
-
     def __init__(self, workspace: Workspace):
         self.interner = TxInterner()
         self._conflict_masks: list[int] = []
         self._nodes_mask = 0
-        # pool mask -> (free frozenset, contested names in canonical
-        # order, local adjacency masks, byte-decode table).  A monitor
-        # re-sweeps the same components check after check; the universe
-        # only changes when the graph itself does, so mutations clear
-        # the cache.
-        self._sweep_cache: dict[
-            int,
-            tuple[frozenset[str], list[str], list[int], list[list[tuple]]],
-        ] = {}
+        # The base class's sweep cache is keyed by pool mask here: pool
+        # mask -> (free frozenset, contested names in canonical order,
+        # local adjacency masks, byte-decode table).
         super().__init__(workspace)
 
     # -- maintenance ----------------------------------------------------
@@ -337,14 +328,12 @@ class BitsetFdGraph(FdTransactionGraph):
         self.interner = TxInterner()
         self._conflict_masks = []
         self._nodes_mask = 0
-        self._sweep_cache = {}
         super()._build()
 
     def _add_node(self, tx_id: str) -> None:
         super()._add_node(tx_id)
         if tx_id not in self.nodes:
             return  # never-appendable: no slot, no universe change
-        self._sweep_cache.clear()
         slot = self.interner.intern(tx_id)
         while len(self._conflict_masks) <= slot:
             self._conflict_masks.append(0)
@@ -363,7 +352,6 @@ class BitsetFdGraph(FdTransactionGraph):
         super().remove_transaction(tx_id)
         if slot is None:
             return
-        self._sweep_cache.clear()
         bit = 1 << slot
         self._nodes_mask &= ~bit
         mask = self._conflict_masks[slot]
@@ -410,13 +398,9 @@ class BitsetFdGraph(FdTransactionGraph):
             pool_mask = self._nodes_mask
         else:
             pool_mask = self.interner.mask_of(restrict) & self._nodes_mask
-        universe = self._sweep_cache.get(pool_mask)
-        if universe is None:
-            universe = self._build_sweep_universe(pool_mask)
-            if len(self._sweep_cache) >= self.SWEEP_CACHE_LIMIT:
-                self._sweep_cache.clear()
-            self._sweep_cache[pool_mask] = universe
-        free, names, adjacency, decode = universe
+        free, names, adjacency, decode = self._sweep_universe(
+            pool_mask, self._build_sweep_universe
+        )
         if not names:
             yield free
             return

@@ -21,16 +21,19 @@ are excluded from the node set up front and reported separately.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.core.workspace import Workspace
-from repro.graphs import UndirectedGraph, bron_kerbosch
+from repro.graphs.cliques import bron_kerbosch_adjacency, canonical_ranks
 from repro.relational.checking import transactions_fd_consistent
 from repro.relational.relation import project
 
 
 class FdTransactionGraph:
     """``G^fd_T`` with complement (conflict-pair) representation."""
+
+    #: Cached sweep universes beyond this count are dropped wholesale.
+    SWEEP_CACHE_LIMIT = 256
 
     def __init__(self, workspace: Workspace):
         self._workspace = workspace
@@ -48,6 +51,7 @@ class FdTransactionGraph:
         self.never_appendable = set()
         self._group_index = {}
         self._tx_signatures = {}
+        self._sweep_cache = {}
         for tx_id in self._workspace.db.pending_ids:
             self._add_node(tx_id)
 
@@ -104,6 +108,11 @@ class FdTransactionGraph:
     # exact buckets the transaction occupies (the transaction itself may
     # already be gone from the pending set when it is removed here).
     _tx_signatures: dict[str, list[tuple[tuple, tuple]]]
+    # pool key -> everything a sweep of that pool needs besides
+    # Bron–Kerbosch itself.  A monitor re-sweeps the same components
+    # check after check; a pool's universe only changes when the node
+    # set or a conflict does, so every such mutation clears the cache.
+    _sweep_cache: dict
 
     def _add_node(self, tx_id: str) -> None:
         signature = self._fd_signature(tx_id)
@@ -111,6 +120,7 @@ class FdTransactionGraph:
             self.never_appendable.add(tx_id)
             return
         self.nodes.add(tx_id)
+        self._sweep_cache.clear()
         self.conflicts.setdefault(tx_id, set())
         self._tx_signatures[tx_id] = signature
         for group, rhs in signature:
@@ -138,6 +148,7 @@ class FdTransactionGraph:
         if tx_id not in self.nodes:
             return
         self.nodes.discard(tx_id)
+        self._sweep_cache.clear()
         for other in self.conflicts.pop(tx_id, set()):
             self.conflicts[other].discard(tx_id)
         signature = self._tx_signatures.pop(tx_id, None)
@@ -194,21 +205,6 @@ class FdTransactionGraph:
     def conflict_count(self) -> int:
         return sum(len(cs) for cs in self.conflicts.values()) // 2
 
-    def conflict_subgraph(self, restrict: Iterable[str] | None = None) -> UndirectedGraph:
-        """The *complement* restricted to the conflicted nodes — i.e. the
-        fd-graph induced on conflicted nodes, for clique enumeration."""
-        if restrict is None:
-            pool = self.conflicted_nodes()
-        else:
-            pool = {t for t in restrict if t in self.nodes and self.conflicts[t]}
-        graph = UndirectedGraph(nodes=pool)
-        pool_list = sorted(pool)
-        for i, u in enumerate(pool_list):
-            for v in pool_list[i + 1 :]:
-                if v not in self.conflicts[u]:
-                    graph.add_edge(u, v)
-        return graph
-
     def maximal_cliques(
         self, restrict: Iterable[str] | None = None, pivot: bool = True
     ) -> Iterator[frozenset[str]]:
@@ -219,22 +215,38 @@ class FdTransactionGraph:
         on the conflicted nodes is enumerated with Bron–Kerbosch.
         """
         if restrict is None:
-            pool = set(self.nodes)
+            pool = frozenset(self.nodes)
         else:
-            pool = {t for t in restrict if t in self.nodes}
-        free = {t for t in pool if not (self.conflicts[t] & pool)}
-        contested = pool - free
-        if not contested:
-            yield frozenset(free)
+            pool = frozenset(t for t in restrict if t in self.nodes)
+        free, adjacency, rank = self._sweep_universe(pool, self._build_sweep_universe)
+        if not adjacency:
+            yield free
             return
-        subgraph = UndirectedGraph(nodes=contested)
-        contested_list = sorted(contested)
-        for i, u in enumerate(contested_list):
-            for v in contested_list[i + 1 :]:
-                if v not in self.conflicts[u]:
-                    subgraph.add_edge(u, v)
-        for clique in bron_kerbosch(subgraph, pivot=pivot):
-            yield frozenset(free) | clique
+        for clique in bron_kerbosch_adjacency(adjacency, rank, pivot=pivot):
+            yield free | clique
+
+    def _sweep_universe(self, key: Hashable, build: Callable[[Hashable], tuple]) -> tuple:
+        """The cached sweep universe of the pool *key*, built on a miss."""
+        universe = self._sweep_cache.get(key)
+        if universe is None:
+            universe = build(key)
+            if len(self._sweep_cache) >= self.SWEEP_CACHE_LIMIT:
+                self._sweep_cache.clear()
+            self._sweep_cache[key] = universe
+        return universe
+
+    def _build_sweep_universe(
+        self, pool: frozenset[str]
+    ) -> tuple[frozenset[str], dict[str, frozenset[str]], dict[str, int]]:
+        """Free set, frozen fd-graph adjacency of the contested nodes and
+        their canonical ranks.  The adjacency is the contested set minus
+        each node's conflicts, one set difference per node."""
+        free = frozenset(t for t in pool if not (self.conflicts[t] & pool))
+        contested = pool - free
+        adjacency = {
+            u: contested - self.conflicts[u] - {u} for u in contested
+        }
+        return free, adjacency, canonical_ranks(adjacency)
 
     def is_clique(self, tx_ids: Iterable[str]) -> bool:
         ids = [t for t in tx_ids]

@@ -49,9 +49,20 @@ def bron_kerbosch(
     canonical order described in the module docstring.
     """
     adjacency = graph.adjacency()
+    yield from bron_kerbosch_adjacency(
+        adjacency, canonical_ranks(adjacency), pivot=pivot
+    )
+
+
+def bron_kerbosch_adjacency(
+    adjacency: dict, rank: dict, pivot: bool = True
+) -> Iterator[frozenset]:
+    """:func:`bron_kerbosch` over a prepared frozen adjacency
+    (``node -> frozenset of neighbours``) and its
+    :func:`canonical_ranks`, for callers that sweep the same graph
+    repeatedly and keep both."""
     if not adjacency:
         return
-    rank = canonical_ranks(adjacency)
 
     # Stack frames: (R, P, X, candidate vertices, popped lowest-rank
     # first).

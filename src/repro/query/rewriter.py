@@ -127,13 +127,11 @@ def normalize(
         kept_comparisons.append(comparison)
 
     # A positive and a negated copy of the same atom: unsatisfiable.
-    positive = {a.relation: set() for a in atoms}
-    for atom in atoms:
-        if not atom.negated:
-            positive.setdefault(atom.relation, set()).add(atom.terms)
-    for atom in atoms:
-        if atom.negated and atom.terms in positive.get(atom.relation, set()):
-            return query, Verdict.UNSATISFIABLE
+    negated = {(a.relation, a.terms) for a in atoms if a.negated}
+    if negated and any(
+        (a.relation, a.terms) in negated for a in atoms if not a.negated
+    ):
+        return query, Verdict.UNSATISFIABLE
 
     # Deduplicate while preserving order.
     seen_atoms: set[tuple] = set()

@@ -71,13 +71,18 @@ class Relation:
         return frozenset(self._tuples)
 
     def index_on(self, positions: tuple[int, ...]) -> dict[tuple, set[tuple]]:
-        """Return (building if needed) the hash index over *positions*."""
-        if not all(0 <= p < self.schema.arity for p in positions):
-            raise SchemaError(
-                f"index positions {positions} out of range for {self.name}"
-            )
+        """Return (building if needed) the hash index over *positions*.
+
+        Positions are range-checked only when the index is built: an
+        out-of-range tuple raises before anything is cached, so a probe
+        that hits the cache already passed the check once.
+        """
         index = self._indexes.get(positions)
         if index is None:
+            if not all(0 <= p < self.schema.arity for p in positions):
+                raise SchemaError(
+                    f"index positions {positions} out of range for {self.name}"
+                )
             index = {}
             for t in self._tuples:
                 index.setdefault(project(t, positions), set()).add(t)

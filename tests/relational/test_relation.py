@@ -60,6 +60,18 @@ def test_index_out_of_range(rel):
         rel.index_on((5,))
 
 
+def test_bad_positions_raise_on_every_probe(rel):
+    # The range check runs only when an index is built; a bad index is
+    # never cached, so every probe with it raises, not just the first.
+    rel.insert((1, 2, 3))
+    assert rel.lookup((0,), (1,)) == {(1, 2, 3)}
+    for positions in ((5,), (-1,), (0, 3)):
+        for _ in range(2):
+            with pytest.raises(SchemaError):
+                rel.lookup(positions, (1,))
+    assert set(rel._indexes) == {(0,)}
+
+
 def test_projection(rel):
     rel.insert_many([(1, 2, 3), (1, 2, 4), (5, 6, 7)])
     assert rel.projection((0, 1)) == {(1, 2), (5, 6)}
