@@ -1,4 +1,4 @@
-"""Evaluation engines over the sqlite backend: batched vs. per-world.
+"""The evaluation engine over the sqlite backend: chunked vs. per-world.
 
 The workload is one heavy fd-graph component: ``K`` pending
 transactions all writing the *same* key of ``R(k, v)`` under the FD
@@ -7,21 +7,20 @@ component's clique structure is ``K`` singleton maximal cliques — ``K``
 possible worlds of one transaction each.  ``Q_SATISFIED`` needs two
 distinct values to coexist on the key, which no singleton world can
 provide while the full pending superset does, so the monotone
-short-circuit cannot decide it and every engine must sweep all ``K``
+short-circuit cannot decide it and the engine must sweep all ``K``
 worlds.
 
-That sweep is the engine comparison in its purest form:
-
-* :class:`~repro.core.engine.SyncEngine` pays **K** SQL round trips
-  (plus the ``_active`` flag flips between consecutive worlds);
-* :class:`~repro.core.engine.BatchedEngine` (``batch_size=K``) compiles
-  the world-correlated query once and answers the whole component in
-  **one** round trip via the ``__repro_worlds`` CTE.
+sqlite declares a native multi-world round trip, so
+:class:`~repro.core.engine.SyncEngine` hands it the sweep in chunks of
+``batch_size`` worlds, each answered by one world-correlated statement
+through the ``__repro_worlds`` CTE.  With ``batch_size >= K`` the whole
+component is **one** round trip; ``batch_size=1`` is the per-world
+shape (**K** round trips) it is compared against.
 
 Round-trip counts are asserted exactly via the backend's
 ``eval_roundtrips`` counter; the wall-clock assertion runs at every
 scale (fewer round trips on the same connection is cheaper regardless
-of host).  All engines must agree on verdict and work counters.
+of host).  The memory backend must agree on verdict and work counters.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import pytest
 from repro.core.bitset import make_fd_graph
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
-from repro.core.engine import BatchedEngine, make_engine
+from repro.core.engine import SyncEngine
 from repro.core.workspace import Workspace
 from repro.relational.constraints import ConstraintSet, FunctionalDependency
 from repro.relational.database import Database, make_schema
@@ -68,8 +67,6 @@ Q_SATISFIED = "q() <- R(k, 'v0'), R(k, 'v1')"
 #: Violated by every singleton world: the sweep stops at world one.
 Q_VIOLATED = "q() <- R(k, v)"
 
-ENGINES = ("sync", "batched", "async")
-
 
 def k_clique_db(k: int = CLIQUE_K) -> BlockchainDatabase:
     schema = make_schema({"R": ["k", "v"]})
@@ -82,20 +79,18 @@ def k_clique_db(k: int = CLIQUE_K) -> BlockchainDatabase:
     return BlockchainDatabase(state, constraints, pending)
 
 
-_cache: dict[str, DCSatChecker] = {}
+_cache: dict[tuple[str, int], DCSatChecker] = {}
 
 
-def engine_checker(engine: str) -> DCSatChecker:
-    """A cached sqlite-backed checker per engine; ``batched`` runs with
-    ``batch_size=K`` so the whole component fits one round trip."""
-    if engine not in _cache:
-        checker = DCSatChecker(k_clique_db(), backend="sqlite")
-        if engine == "batched":
-            checker.engine = BatchedEngine(checker.backend, batch_size=CLIQUE_K)
-        else:
-            checker.engine = make_engine(engine, checker.backend)
-        _cache[engine] = checker
-    return _cache[engine]
+def engine_checker(backend: str = "sqlite", batch_size: int = CLIQUE_K) -> DCSatChecker:
+    """A cached checker per backend and chunk size; the default chunk
+    holds the whole component, so its sweep is one round trip."""
+    key = (backend, batch_size)
+    if key not in _cache:
+        checker = DCSatChecker(k_clique_db(), backend=backend)
+        checker.engine = SyncEngine(checker.backend, batch_size=batch_size)
+        _cache[key] = checker
+    return _cache[key]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -106,38 +101,27 @@ def close_checkers():
     _cache.clear()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_engine_sweep(benchmark, engine):
-    checker = engine_checker(engine)
+def test_engine_sweep(benchmark):
+    checker = engine_checker()
     result = benchmark(checker.check, Q_SATISFIED, algorithm="naive")
     assert result.satisfied
     assert result.stats.worlds_checked == CLIQUE_K
-    assert result.stats.engine == engine
+    assert result.stats.engine == "sync"
 
 
-def test_batched_is_one_round_trip_sync_is_k():
-    sync = engine_checker("sync")
-    batched = engine_checker("batched")
+def round_trips(checker: DCSatChecker) -> int:
+    before = checker.backend.eval_roundtrips
+    result = checker.check(Q_SATISFIED, algorithm="naive", short_circuit=False)
+    assert result.satisfied
+    return checker.backend.eval_roundtrips - before
 
-    before = sync.backend.eval_roundtrips
-    sync_result = sync.check(Q_SATISFIED, algorithm="naive", short_circuit=False)
-    sync_trips = sync.backend.eval_roundtrips - before
 
-    before = batched.backend.eval_roundtrips
-    batched_result = batched.check(
-        Q_SATISFIED, algorithm="naive", short_circuit=False
-    )
-    batched_trips = batched.backend.eval_roundtrips - before
-
+def test_sweep_is_one_round_trip():
     # Without the short-circuit probe, the sweep *is* the query load:
-    # one state-check round trip plus K per-world trips under sync,
-    # one state-check plus ONE multi-world trip under batched.
-    assert sync_trips == 1 + CLIQUE_K
-    assert batched_trips == 1 + 1
-
-    assert batched_result.satisfied == sync_result.satisfied
-    assert batched_result.stats.worlds_checked == sync_result.stats.worlds_checked
-    assert batched_result.stats.evaluations == sync_result.stats.evaluations
+    # one state-check round trip plus ONE multi-world trip for all K
+    # worlds, against K per-world trips with single-world chunks.
+    assert round_trips(engine_checker()) == 1 + 1
+    assert round_trips(engine_checker(batch_size=1)) == 1 + CLIQUE_K
 
 
 def timed_median(checker: DCSatChecker, rounds: int = ROUNDS) -> float:
@@ -151,31 +135,30 @@ def timed_median(checker: DCSatChecker, rounds: int = ROUNDS) -> float:
     return samples[len(samples) // 2]
 
 
-def test_batched_beats_sync_wall_clock():
-    sync_median = timed_median(engine_checker("sync"))
-    batched_median = timed_median(engine_checker("batched"))
-    assert batched_median < sync_median, (
-        f"batched took {batched_median * 1000:.2f}ms vs "
-        f"{sync_median * 1000:.2f}ms sync over a {CLIQUE_K}-clique component"
+def test_chunked_sweep_beats_per_world_wall_clock():
+    per_world = timed_median(engine_checker(batch_size=1))
+    chunked = timed_median(engine_checker())
+    assert chunked < per_world, (
+        f"one chunk took {chunked * 1000:.2f}ms vs {per_world * 1000:.2f}ms "
+        f"per world over a {CLIQUE_K}-clique component"
     )
 
 
-def test_all_engines_verdict_and_stats_identical():
+def test_backends_verdict_and_stats_identical():
     views = {}
-    for engine in ENGINES:
-        checker = engine_checker(engine)
+    for backend in ("memory", "sqlite"):
+        checker = engine_checker(backend)
         for query in (Q_SATISFIED, Q_VIOLATED):
             result = checker.check(query, algorithm="naive")
-            views.setdefault(query, {})[engine] = (
+            views.setdefault(query, {})[backend] = (
                 result.satisfied,
                 result.witness,
                 result.stats.worlds_checked,
                 result.stats.evaluations,
                 result.stats.cliques_enumerated,
             )
-    for query, by_engine in views.items():
-        assert by_engine["batched"] == by_engine["sync"], query
-        assert by_engine["async"] == by_engine["sync"], query
+    for query, by_backend in views.items():
+        assert by_backend["sqlite"] == by_backend["memory"], query
 
 
 # ----------------------------------------------------------------------
@@ -229,35 +212,34 @@ def test_bitset_planner_speedup_on_clique_sweep():
 @pytest.fixture(scope="module", autouse=True)
 def bench_json_artifact():
     """When a ``BENCH_<rev>.json`` artifact is being written this
-    session (see :mod:`benchmarks.conftest`), land one row per engine —
-    median sweep wall clock plus round-trip count — in it."""
+    session (see :mod:`benchmarks.conftest`), land the sqlite sweep row —
+    median wall clock plus round-trip count — in it."""
     yield
     from benchmarks.conftest import _bench_json_path, record_bench
 
     if _bench_json_path() is None:
         return
-    for engine in ENGINES:
-        checker = engine_checker(engine)
-        before = checker.backend.eval_roundtrips
-        samples = []
-        for _ in range(ROUNDS):
-            started = time.perf_counter()
-            result = checker.check(Q_SATISFIED, algorithm="naive")
-            samples.append(time.perf_counter() - started)
-            assert result.satisfied
-        record_bench(
-            "engines.k_clique_sweep",
-            engine=engine,
-            backend="sqlite",
-            algorithm="naive",
-            planner=checker.planner,
-            clique_k=CLIQUE_K,
-            rounds=ROUNDS,
-            seconds=sorted(samples)[len(samples) // 2],
-            samples=samples,
-            eval_roundtrips=checker.backend.eval_roundtrips - before,
-            gate=True,
-        )
+    checker = engine_checker()
+    before = checker.backend.eval_roundtrips
+    samples = []
+    for _ in range(ROUNDS):
+        started = time.perf_counter()
+        result = checker.check(Q_SATISFIED, algorithm="naive")
+        samples.append(time.perf_counter() - started)
+        assert result.satisfied
+    record_bench(
+        "engines.k_clique_sweep",
+        engine=checker.engine.name,
+        backend="sqlite",
+        algorithm="naive",
+        planner=checker.planner,
+        clique_k=CLIQUE_K,
+        rounds=ROUNDS,
+        seconds=sorted(samples)[len(samples) // 2],
+        samples=samples,
+        eval_roundtrips=checker.backend.eval_roundtrips - before,
+        gate=True,
+    )
     for planner in ("set", "bitset"):
         median, count, samples = sweep_median(planner_graph(planner))
         record_bench(

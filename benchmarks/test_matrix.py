@@ -1,8 +1,9 @@
 """The full configuration matrix on one workload: every solver
-algorithm, over every backend, under every evaluation engine the
-backend supports — all cells must agree on the verdict, and every
-cell's median wall clock lands in the session's ``BENCH_<rev>.json``
-(see :func:`benchmarks.conftest.record_bench`).
+algorithm over every backend — all cells must agree on the verdict,
+and every cell's median wall clock lands in the session's
+``BENCH_<rev>.json`` (see :func:`benchmarks.conftest.record_bench`).
+Rows keep the ``engine`` dimension, with the one engine's label, so
+they line up with earlier artifacts.
 
 The workload is a single K-clique fd-graph component (every pending
 transaction writes the same key), so each check sweeps exactly K
@@ -29,11 +30,7 @@ ROUNDS = 3
 Q = "q() <- R(k, 'v0'), R(k, 'v1')"
 
 ALGORITHMS = ("naive", "opt", "assign")
-#: backend -> engines it can run (memory evaluates in-process only).
-CONFIGURATIONS = {
-    "memory": ("sync",),
-    "sqlite": ("sync", "batched"),
-}
+BACKENDS = ("memory", "sqlite")
 
 
 def clique_db() -> BlockchainDatabase:
@@ -47,23 +44,19 @@ def clique_db() -> BlockchainDatabase:
     return BlockchainDatabase(state, constraints, pending)
 
 
-_checkers: dict[tuple[str, str], DCSatChecker] = {}
+_checkers: dict[str, DCSatChecker] = {}
 
 
-def checker_for(backend: str, engine: str) -> DCSatChecker:
-    key = (backend, engine)
-    if key not in _checkers:
-        _checkers[key] = DCSatChecker(clique_db(), backend=backend, engine=engine)
-    return _checkers[key]
+def checker_for(backend: str) -> DCSatChecker:
+    if backend not in _checkers:
+        _checkers[backend] = DCSatChecker(clique_db(), backend=backend)
+    return _checkers[backend]
 
 
-@pytest.mark.parametrize(
-    "backend,engine",
-    [(b, e) for b, engines in CONFIGURATIONS.items() for e in engines],
-)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_matrix_cell(algorithm, backend, engine):
-    checker = checker_for(backend, engine)
+def test_matrix_cell(algorithm, backend):
+    checker = checker_for(backend)
     timings = []
     result = None
     for _ in range(ROUNDS):
@@ -78,7 +71,7 @@ def test_matrix_cell(algorithm, backend, engine):
         "matrix.k_clique",
         gate=True,
         algorithm=algorithm,
-        engine=engine,
+        engine=checker.engine.name,
         backend=backend,
         k=K,
         seconds=statistics.median(timings),

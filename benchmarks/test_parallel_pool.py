@@ -29,6 +29,7 @@ import pytest
 
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
+from repro.core.engine import SyncEngine
 from repro.relational.constraints import ConstraintSet, FunctionalDependency
 from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
@@ -235,7 +236,7 @@ def test_warm_cost_model_groups_skew_tighter_than_round_robin():
                 sum(
                     model.predict(
                         len(survivors[index]),
-                        engine=pool._engine_name,
+                        engine=SyncEngine.name,
                         planner=pool._planner_name,
                     )
                     for index in group

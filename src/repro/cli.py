@@ -25,7 +25,6 @@ import sys
 from repro import serialize
 from repro.core.bitset import PLANNERS
 from repro.core.checker import ALGORITHMS, DCSatChecker
-from repro.core.engine import ENGINES
 from repro.errors import ReproError
 from repro.obs.bench import add_bench_subcommands
 from repro.obs.log import LEVELS, configure_logging
@@ -84,7 +83,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         db,
         backend=args.backend,
         assume_nonnegative_sums=args.assume_nonnegative_sums,
-        engine=args.engine,
         planner=args.planner,
     )
     result = checker.check(
@@ -160,14 +158,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     shard_db,
                     backend=args.backend,
                     assume_nonnegative_sums=args.assume_nonnegative_sums,
-                    engine=args.engine,
                     max_workers=per_shard_workers,
                 )
             return DCSatChecker(
                 shard_db,
                 backend=args.backend,
                 assume_nonnegative_sums=args.assume_nonnegative_sums,
-                engine=args.engine,
             )
 
         monitor = ShardedMonitor(
@@ -182,7 +178,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             db,
             backend=args.backend,
             assume_nonnegative_sums=args.assume_nonnegative_sums,
-            engine=args.engine,
             max_workers=args.pool_size,
         )
         monitor = ConstraintMonitor(checker)
@@ -250,7 +245,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     spec = ShardSpec(
         db_path=args.database,
         backend=args.backend,
-        engine=args.engine,
         pool_size=args.shard_pool_size,
         queue_limit=args.queue_limit,
         deadline=args.deadline,
@@ -412,13 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="storage backend (default: $REPRO_BACKEND or memory)",
     )
     check.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="evaluation engine driving the backend: sync (one round "
-        "trip per world), batched (many worlds per round trip), or "
-        "async (coroutine backend surface); default: $REPRO_ENGINE "
-        "or sync",
-    )
-    check.add_argument(
         "--planner", choices=list(PLANNERS), default=None,
         help="world-enumeration planner: set (Python sets) or bitset "
         "(interned ids + machine-word masks; identical plans); "
@@ -489,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["memory", "sqlite"], default=None,
         help="storage backend (default: $REPRO_BACKEND or memory)",
     )
-    serve.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="evaluation engine for the coordinator checker and the "
-        "solver-pool workers (default: $REPRO_ENGINE or sync); with "
-        "async, uncached status solves run on the server's event loop",
-    )
     serve.add_argument("--assume-nonnegative-sums", action="store_true")
     serve.set_defaults(func=_cmd_serve)
 
@@ -539,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument(
         "--backend", choices=["memory", "sqlite"], default=None,
         help="storage backend for the shard subprocesses",
-    )
-    fabric.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="evaluation engine for the shard subprocesses",
     )
     fabric.add_argument(
         "--journal-dir", default=None,

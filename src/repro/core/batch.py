@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.engine import as_engine
+from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
@@ -28,7 +28,7 @@ def batch_dcsat(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     queries: list[Query],
-    evaluate_world,
+    engine: SyncEngine,
     assume_nonnegative_sums: bool = False,
     short_circuit: bool = True,
     pivot: bool = True,
@@ -43,7 +43,6 @@ def batch_dcsat(
             raise AlgorithmError(
                 f"batch checking requires monotone queries; {query!s} is not"
             )
-    engine = as_engine(evaluate_world)
     evaluate_world = engine.evaluate
     started = time.perf_counter()
     results: list[DCSatResult | None] = [None] * len(queries)

@@ -7,14 +7,14 @@ do not suffice).
 
 The search is breadth-first over extendable worlds; each frontier level
 is one evaluation plan handed to the
-:class:`~repro.core.engine.EvaluationEngine` (so the batched engine
-answers a whole level per backend round trip), and the frontier is only
+:class:`~repro.core.engine.SyncEngine` (so a multi-world backend
+answers a level in chunked round trips), and the frontier is only
 extended once the level is known violation-free.
 """
 
 from __future__ import annotations
 
-from repro.core.engine import EvaluationEngine, as_engine
+from repro.core.engine import SyncEngine
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
@@ -61,7 +61,7 @@ def _extend_frontier(
 def brute_dcsat(
     workspace: Workspace,
     query: ConjunctiveQuery | AggregateQuery,
-    evaluate_world,
+    engine: SyncEngine,
     pending_limit: int = DEFAULT_PENDING_LIMIT,
     stats: DCSatStats | None = None,
 ) -> DCSatResult:
@@ -72,7 +72,6 @@ def brute_dcsat(
     *pending_limit* (the world count can be exponential in it).
     """
     _check_limit(workspace, pending_limit)
-    engine = as_engine(evaluate_world)
     stats = stats if stats is not None else DCSatStats()
     stats.algorithm = stats.algorithm or "brute"
 
@@ -85,24 +84,3 @@ def brute_dcsat(
         frontier = _extend_frontier(workspace, frontier, seen)
     return DCSatResult(satisfied=True, stats=stats)
 
-
-async def brute_dcsat_async(
-    workspace: Workspace,
-    query: ConjunctiveQuery | AggregateQuery,
-    engine: EvaluationEngine,
-    pending_limit: int = DEFAULT_PENDING_LIMIT,
-    stats: DCSatStats | None = None,
-) -> DCSatResult:
-    """:func:`brute_dcsat` on the engine's coroutine surface."""
-    _check_limit(workspace, pending_limit)
-    stats = stats if stats is not None else DCSatStats()
-    stats.algorithm = stats.algorithm or "brute"
-
-    seen: set[frozenset[str]] = {frozenset()}
-    frontier: list[frozenset[str]] = [frozenset()]
-    while frontier:
-        witness = await engine.sweep_async(query, frontier, stats=stats)
-        if witness is not None:
-            return DCSatResult(satisfied=False, witness=witness, stats=stats)
-        frontier = _extend_frontier(workspace, frontier, seen)
-    return DCSatResult(satisfied=True, stats=stats)

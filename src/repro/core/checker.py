@@ -30,12 +30,12 @@ import time
 from repro.core.assignment import assignment_dcsat
 from repro.core.bitset import make_fd_graph, resolve_planner_name
 from repro.core.blockchain_db import BlockchainDatabase
-from repro.core.brute import DEFAULT_PENDING_LIMIT, brute_dcsat, brute_dcsat_async
-from repro.core.engine import EvaluationEngine, make_engine
+from repro.core.brute import DEFAULT_PENDING_LIMIT, brute_dcsat
+from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.ind_graph import IndQTransactionGraph
-from repro.core.naive import naive_dcsat, naive_dcsat_async
-from repro.core.opt import opt_dcsat, opt_dcsat_async
+from repro.core.naive import naive_dcsat
+from repro.core.opt import opt_dcsat
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.tractable import (
     dcsat_aggregate_fd,
@@ -63,7 +63,6 @@ class DCSatChecker:
         db: BlockchainDatabase,
         backend: str | Backend | None = None,
         assume_nonnegative_sums: bool = False,
-        engine: str | EvaluationEngine | None = None,
         planner: str | None = None,
     ):
         self.db = db
@@ -82,9 +81,9 @@ class DCSatChecker:
         #: / forget / absorb, so callers holding derived state (e.g. the
         #: solver pool's worker snapshots) can detect staleness cheaply.
         self.epoch = 0
-        # ``None`` defers to the REPRO_BACKEND / REPRO_ENGINE environment
-        # variables (defaults: memory, sync) — how CI runs the whole
-        # suite over sqlite or a different engine without editing tests.
+        # ``None`` defers to the REPRO_BACKEND environment variable
+        # (default: memory) — how CI runs the whole suite over sqlite
+        # without editing tests.
         self.backend: Backend = (
             backend
             if not (backend is None or isinstance(backend, str))
@@ -92,12 +91,8 @@ class DCSatChecker:
         )
         self.backend.attach(self.workspace)
         #: The evaluation engine deciding *how* candidate worlds reach
-        #: the backend: "sync", "batched" or "async" (docs/ENGINES.md).
-        self.engine: EvaluationEngine = (
-            engine
-            if isinstance(engine, EvaluationEngine)
-            else make_engine(engine, self.backend)
-        )
+        #: the backend (docs/ENGINES.md).
+        self.engine = SyncEngine(self.backend)
 
     # ------------------------------------------------------------------
     # Steady-state maintenance
@@ -145,11 +140,6 @@ class DCSatChecker:
 
     # ------------------------------------------------------------------
     # Checking
-
-    def _evaluate_world(
-        self, query: ConjunctiveQuery | AggregateQuery, active: frozenset[str]
-    ) -> bool:
-        return self.engine.evaluate(query, active)
 
     def evaluate_world(
         self, query: ConjunctiveQuery | AggregateQuery, active: frozenset[str]
@@ -242,101 +232,11 @@ class DCSatChecker:
         if algorithm == "assign":
             return assignment_dcsat(
                 self.workspace, self.fd_graph, self.ind_graph, query,
-                self._evaluate_world, pivot=pivot, stats=stats,
+                self.evaluate_world, pivot=pivot, stats=stats,
             )
         if algorithm == "tractable":
             return self._tractable(query, stats)
         return brute_dcsat(
-            self.workspace, query, self.engine,
-            pending_limit=pending_limit, stats=stats,
-        )
-
-    async def check_async(
-        self,
-        query: ConjunctiveQuery | AggregateQuery | str,
-        algorithm: str = "auto",
-        short_circuit: bool = True,
-        use_coverage: bool = True,
-        pivot: bool = True,
-        pending_limit: int = DEFAULT_PENDING_LIMIT,
-        normalize: bool = True,
-    ) -> DCSatResult:
-        """:meth:`check` on the engine's coroutine surface.
-
-        With an :class:`~repro.core.engine.AsyncEngine` the world
-        evaluations are awaited, so a server calling this from its
-        event loop overlaps them with request handling; sync engines
-        run unchanged (their awaitables complete immediately).
-        ``assign`` and ``tractable`` have no world sweep to overlap and
-        run inline.
-        """
-        if algorithm not in ALGORITHMS:
-            raise AlgorithmError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        query = self._parse(query)
-        stats = DCSatStats(algorithm=algorithm if algorithm != "auto" else "")
-        if normalize:
-            from repro.query.rewriter import Verdict
-            from repro.query.rewriter import normalize as normalize_query
-
-            query, verdict = normalize_query(query)
-            if verdict is Verdict.UNSATISFIABLE:
-                stats.algorithm = "rewrite"
-                return DCSatResult(satisfied=True, stats=stats)
-        started = time.perf_counter()
-        with obs_span("dcsat.check", requested=algorithm, mode="async") as sp:
-            try:
-                return await self._check_async(
-                    query, algorithm, short_circuit, use_coverage, pivot,
-                    pending_limit, stats,
-                )
-            finally:
-                stats.elapsed_seconds = time.perf_counter() - started
-                sp.fold_stats(stats)
-                self.workspace.clear_active()
-
-    async def _check_async(
-        self,
-        query: ConjunctiveQuery | AggregateQuery,
-        algorithm: str,
-        short_circuit: bool,
-        use_coverage: bool,
-        pivot: bool,
-        pending_limit: int,
-        stats: DCSatStats,
-    ) -> DCSatResult:
-        monotone = is_monotone(query, self.assume_nonnegative_sums)
-
-        decided = await self.fast_paths_async(query, monotone, short_circuit, stats)
-        if decided is not None:
-            return decided
-
-        if algorithm == "auto":
-            algorithm = self._pick_algorithm(query, monotone)
-            stats.algorithm = algorithm
-
-        if algorithm == "naive":
-            self._require_monotone(query, monotone, "NaiveDCSat")
-            return await naive_dcsat_async(
-                self.workspace, self.fd_graph, query, self.engine,
-                pivot=pivot, stats=stats,
-            )
-        if algorithm == "opt":
-            self._require_monotone(query, monotone, "OptDCSat")
-            return await opt_dcsat_async(
-                self.workspace, self.fd_graph, self.ind_graph, query,
-                self.engine, pivot=pivot, use_coverage=use_coverage,
-                stats=stats,
-            )
-        if algorithm == "assign":
-            return assignment_dcsat(
-                self.workspace, self.fd_graph, self.ind_graph, query,
-                self._evaluate_world, pivot=pivot, stats=stats,
-            )
-        if algorithm == "tractable":
-            return self._tractable(query, stats)
-        return await brute_dcsat_async(
             self.workspace, query, self.engine,
             pending_limit=pending_limit, stats=stats,
         )
@@ -357,7 +257,7 @@ class DCSatChecker:
             # The current state is itself a possible world: if it already
             # satisfies the underlying query, no algorithm is needed.
             stats.evaluations += 1
-            if self._evaluate_world(query, frozenset()):
+            if self.evaluate_world(query, frozenset()):
                 stats.algorithm = stats.algorithm or "state-check"
                 sp.set(decided="state-check")
                 return DCSatResult(
@@ -369,38 +269,7 @@ class DCSatChecker:
             if monotone and short_circuit:
                 stats.evaluations += 1
                 all_active = frozenset(self.db.pending_ids)
-                if not self._evaluate_world(query, all_active):
-                    stats.short_circuit_used = True
-                    stats.short_circuit_result = True
-                    stats.algorithm = stats.algorithm or "short-circuit"
-                    sp.set(decided="short-circuit")
-                    return DCSatResult(satisfied=True, stats=stats)
-                stats.short_circuit_used = True
-                stats.short_circuit_result = False
-            sp.set(decided="")
-        return None
-
-    async def fast_paths_async(
-        self,
-        query: ConjunctiveQuery | AggregateQuery,
-        monotone: bool,
-        short_circuit: bool,
-        stats: DCSatStats,
-    ) -> DCSatResult | None:
-        """:meth:`fast_paths` with awaited world evaluations."""
-        with obs_span("fast_paths") as sp:
-            stats.evaluations += 1
-            if await self.engine.evaluate_async(query, frozenset()):
-                stats.algorithm = stats.algorithm or "state-check"
-                sp.set(decided="state-check")
-                return DCSatResult(
-                    satisfied=False, witness=frozenset(), stats=stats
-                )
-
-            if monotone and short_circuit:
-                stats.evaluations += 1
-                all_active = frozenset(self.db.pending_ids)
-                if not await self.engine.evaluate_async(query, all_active):
+                if not self.evaluate_world(query, all_active):
                     stats.short_circuit_used = True
                     stats.short_circuit_result = True
                     stats.algorithm = stats.algorithm or "short-circuit"

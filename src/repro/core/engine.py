@@ -1,4 +1,4 @@
-"""The evaluation-engine layer: *how* candidate worlds are evaluated.
+"""The evaluation engine: *how* candidate worlds are evaluated.
 
 The paper's algorithms interleave two concerns that this module pulls
 apart:
@@ -7,68 +7,48 @@ apart:
   surviving component) and build each clique's unique maximal world;
 * **evaluation** — the query runs over ``R ∪ {facts of the world}``.
 
-Enumeration now produces an explicit *evaluation plan*: a stream of
+Enumeration produces an explicit *evaluation plan*: a stream of
 candidate active-sets (plain frozensets of pending transaction ids,
-with no side effects on solver statistics).  An
-:class:`EvaluationEngine` consumes the stream and decides how the
-backend is driven:
+with no side effects on solver statistics).  :class:`SyncEngine`
+consumes the stream and drives the backend in one of two ways, chosen
+by what the backend declares:
 
-* :class:`SyncEngine` — the classical shape: one blocking
-  ``backend.evaluate`` round trip per world;
-* :class:`BatchedEngine` — chunks the stream and drives the
-  ``Backend.evaluate_many(query, actives)`` hook, letting SQL backends
-  answer a whole batch of worlds in one round trip (see
+* a backend with a native multi-world round trip
+  (``multi_world = True``: the sqlite backend) gets the plan in chunks
+  of up to ``batch_size`` worlds, and up to the backend's
+  ``member_budget`` world members, through ``Backend.evaluate_many`` —
+  one SQL statement per chunk (see
   :meth:`repro.storage.sqlite_backend.SqliteBackend.evaluate_many`);
-* :class:`AsyncEngine` — drives an
-  :class:`~repro.storage.base.AsyncBackend` whose evaluations are
-  coroutines, so :mod:`repro.service.server` can run solves on its
-  event loop and overlap evaluation I/O with request handling.
+* every other backend gets one ``backend.evaluate`` call per world,
+  with no look-ahead into the plan.
 
-Statistics parity is part of the engine contract: every engine counts
+Statistics parity is part of the engine contract: the engine counts
 ``worlds_checked`` / ``evaluations`` (and ``cliques_enumerated`` when
 the stream is a clique sweep) only up to and including the first
-violating world, so a batched engine's over-fetch never shows up in
-:class:`~repro.core.results.DCSatStats` and all engines are
-stats-identical on the same plan.  Engines also keep the fleet-level
-``repro_worlds_evaluated_total{engine=...}`` counter in the default
-metrics registry and tag their sweeps' spans with ``engine=<name>``.
+violating world, so a chunk's over-fetch never shows up in
+:class:`~repro.core.results.DCSatStats` and both paths are
+stats-identical on the same plan.  The engine also keeps the
+fleet-level ``repro_worlds_evaluated_total{engine="sync"}`` counter in
+the default metrics registry and tags its sweeps' spans with
+``engine="sync"``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import os
-from typing import TYPE_CHECKING, AsyncIterator, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.results import DCSatStats
 from repro.errors import AlgorithmError
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.base import AsyncBackend, Backend
+    from repro.storage.base import Backend
 
 Query = ConjunctiveQuery | AggregateQuery
 World = frozenset[str]
 
-ENGINES = ("sync", "batched", "async")
-
-#: Worlds per ``evaluate_many`` round trip under :class:`BatchedEngine`.
+#: Worlds per ``evaluate_many`` round trip on a multi-world backend.
 DEFAULT_BATCH_SIZE = 32
-
-
-def resolve_engine_name(engine: str | None) -> str:
-    """An explicit engine name, or the ``REPRO_ENGINE`` env default.
-
-    Validated eagerly: a typo like ``REPRO_ENGINE=bacthed`` fails here,
-    at resolution time, with the valid choices named — not deep inside
-    ``as_engine`` on some worker process.
-    """
-    name = engine if engine is not None else os.environ.get("REPRO_ENGINE", "sync")
-    if name not in ENGINES:
-        raise AlgorithmError(
-            f"unknown evaluation engine {name!r}; expected one of {ENGINES}"
-        )
-    return name
 
 
 # engine name -> (registry it was resolved against, bound counter).  The
@@ -121,35 +101,25 @@ def _charge(
     _count_worlds(engine_name, worlds)
 
 
-class EvaluationEngine:
-    """Base class: evaluates plans produced by the enumeration side.
-
-    Subclasses override :meth:`evaluate` / :meth:`sweep` (and their
-    ``*_async`` twins).  The base class bridges each direction so every
-    engine exposes **both** surfaces: sync engines run unchanged inside
-    ``check_async`` (their awaitables simply never yield), and
-    :class:`AsyncEngine` still serves plain ``check`` by running its
-    coroutines on a private event loop.
-    """
+class SyncEngine:
+    """Evaluates plans produced by the enumeration side over a backend."""
 
     name = "sync"
-    #: True when the engine's native surface is the coroutine one —
-    #: i.e. running it on an event loop actually overlaps I/O.
-    is_async = False
 
-    def __init__(self, backend: "Backend"):
+    def __init__(self, backend: "Backend", batch_size: int = DEFAULT_BATCH_SIZE):
+        if batch_size < 1:
+            raise AlgorithmError(f"batch_size must be positive, got {batch_size}")
         self.backend = backend
-
-    # -- single-world ---------------------------------------------------
+        self.batch_size = batch_size
+        #: Chunk sweeps through ``evaluate_many`` only where the backend
+        #: answers many worlds in one round trip; elsewhere a chunk
+        #: would only enumerate worlds the sweep may never need.
+        self.multi_world = bool(getattr(backend, "multi_world", False))
 
     def evaluate(self, query: Query, active: World) -> bool:
         """Evaluate *query* over the world ``R ∪ {facts of active}``."""
-        raise NotImplementedError
-
-    async def evaluate_async(self, query: Query, active: World) -> bool:
-        return self.evaluate(query, active)
-
-    # -- plan sweeps ----------------------------------------------------
+        _count_worlds(self.name, 1)
+        return self.backend.evaluate(query, active)
 
     def sweep(
         self,
@@ -164,223 +134,43 @@ class EvaluationEngine:
         query.  Counts stats only up to and including the violating
         world (the parity contract — see the module docstring).
         """
-        raise NotImplementedError
-
-    async def sweep_async(
-        self,
-        query: Query,
-        worlds: Iterable[World],
-        stats: DCSatStats | None = None,
-        count_cliques: bool = False,
-    ) -> World | None:
-        return self.sweep(query, worlds, stats=stats, count_cliques=count_cliques)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(backend={type(self.backend).__name__})"
-
-
-class SyncEngine(EvaluationEngine):
-    """Today's behaviour: one blocking backend round trip per world."""
-
-    name = "sync"
-
-    def evaluate(self, query: Query, active: World) -> bool:
-        _count_worlds(self.name, 1)
-        return self.backend.evaluate(query, active)
-
-    def sweep(
-        self,
-        query: Query,
-        worlds: Iterable[World],
-        stats: DCSatStats | None = None,
-        count_cliques: bool = False,
-    ) -> World | None:
-        for world in worlds:
-            _charge(stats, self.name, 1, count_cliques)
-            if self.backend.evaluate(query, world):
-                return world
-        return None
-
-
-class _CallbackEngine(SyncEngine):
-    """Adapts a bare ``evaluate_world`` callable to the engine surface.
-
-    Keeps the historical solver signatures working: callers that pass
-    ``checker._evaluate_world`` (or any ``(query, active) -> bool``)
-    get :class:`SyncEngine` semantics.
-    """
-
-    def __init__(self, evaluate_world: Callable[[Query, World], bool]):
-        self._evaluate_world = evaluate_world
-
-        class _Shim:
-            evaluate = staticmethod(evaluate_world)
-
-        super().__init__(_Shim())  # type: ignore[arg-type]
-
-
-class BatchedEngine(EvaluationEngine):
-    """Chunk the plan and drive ``Backend.evaluate_many``.
-
-    Backends without a native batch path fall back to a loop (see
-    :func:`repro.storage.base.evaluate_many_fallback`), so the engine
-    is verdict- and stats-identical to :class:`SyncEngine` everywhere
-    and strictly cheaper where the backend can amortize — the sqlite
-    backend answers each chunk in one SQL round trip.
-    """
-
-    name = "batched"
-
-    def __init__(self, backend: "Backend", batch_size: int = DEFAULT_BATCH_SIZE):
-        super().__init__(backend)
-        if batch_size < 1:
-            raise AlgorithmError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = batch_size
-
-    def _evaluate_many(self, query: Query, actives: list[World]) -> list[bool]:
-        many = getattr(self.backend, "evaluate_many", None)
-        if many is not None:
-            return many(query, actives)
-        return [self.backend.evaluate(query, active) for active in actives]
-
-    def evaluate(self, query: Query, active: World) -> bool:
-        _count_worlds(self.name, 1)
-        return self._evaluate_many(query, [active])[0]
-
-    def sweep(
-        self,
-        query: Query,
-        worlds: Iterable[World],
-        stats: DCSatStats | None = None,
-        count_cliques: bool = False,
-    ) -> World | None:
-        iterator: Iterator[World] = iter(worlds)
-        while True:
-            chunk: list[World] = []
-            for world in iterator:
-                chunk.append(world)
-                if len(chunk) >= self.batch_size:
-                    break
-            if not chunk:
-                return None
-            verdicts = self._evaluate_many(query, chunk)
+        if not self.multi_world:
+            for world in worlds:
+                _charge(stats, self.name, 1, count_cliques)
+                if self.backend.evaluate(query, world):
+                    return world
+            return None
+        for chunk in self._chunks(worlds):
+            verdicts = self.backend.evaluate_many(query, chunk)
             for index, violated in enumerate(verdicts):
                 if violated:
                     # Over-fetched worlds past the violator are never
-                    # charged: stats stay identical to the sync sweep.
+                    # charged: stats match the one-world-at-a-time path.
                     _charge(stats, self.name, index + 1, count_cliques)
                     return chunk[index]
             _charge(stats, self.name, len(chunk), count_cliques)
-
-
-def _run_coroutine(coroutine):
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(coroutine)
-    coroutine.close()
-    raise AlgorithmError(
-        "AsyncEngine cannot bridge to a blocking call from inside a "
-        "running event loop; use check_async / the *_async engine surface"
-    )
-
-
-class AsyncEngine(EvaluationEngine):
-    """Drive an :class:`~repro.storage.base.AsyncBackend` coroutine-first.
-
-    The native surface is ``evaluate_async`` / ``sweep_async``; the
-    blocking surface bridges through a private event loop per call, or
-    — when the backend is a :class:`~repro.storage.base.AsyncBackendAdapter`
-    over a synchronous backend — short-circuits to the wrapped backend
-    directly (sqlite connections are thread-bound, so the adapter never
-    hops threads anyway).
-    """
-
-    name = "async"
-    is_async = True
-
-    def __init__(self, backend: "AsyncBackend"):
-        super().__init__(backend)  # type: ignore[arg-type]
-        self._sync_backend: "Backend | None" = getattr(
-            backend, "sync_backend", None
-        )
-
-    async def evaluate_async(self, query: Query, active: World) -> bool:
-        _count_worlds(self.name, 1)
-        return await self.backend.evaluate(query, active)
-
-    def evaluate(self, query: Query, active: World) -> bool:
-        if self._sync_backend is not None:
-            _count_worlds(self.name, 1)
-            return self._sync_backend.evaluate(query, active)
-        return _run_coroutine(self.evaluate_async(query, active))
-
-    async def sweep_async(
-        self,
-        query: Query,
-        worlds: Iterable[World],
-        stats: DCSatStats | None = None,
-        count_cliques: bool = False,
-    ) -> World | None:
-        async for world, violated in self._evaluations(query, worlds):
-            _charge(stats, self.name, 1, count_cliques)
-            if violated:
-                return world
         return None
 
-    async def _evaluations(
-        self, query: Query, worlds: Iterable[World]
-    ) -> AsyncIterator[tuple[World, bool]]:
+    def _chunks(self, worlds: Iterable[World]) -> Iterator[list[World]]:
+        """Split the plan into round trips of at most ``batch_size``
+        worlds and, past a chunk's first world, at most the backend's
+        ``member_budget`` world members.  A full chunk goes out at once,
+        without enumerating the next world, and a sweep that stops early
+        never pays for a second round trip of its chunk."""
+        budget = self.backend.member_budget
+        chunk: list[World] = []
+        members = 0
         for world in worlds:
-            yield world, await self.backend.evaluate(query, world)
+            if chunk and members + len(world) > budget:
+                yield chunk
+                chunk, members = [], 0
+            chunk.append(world)
+            members += len(world)
+            if len(chunk) >= self.batch_size or members >= budget:
+                yield chunk
+                chunk, members = [], 0
+        if chunk:
+            yield chunk
 
-    def sweep(
-        self,
-        query: Query,
-        worlds: Iterable[World],
-        stats: DCSatStats | None = None,
-        count_cliques: bool = False,
-    ) -> World | None:
-        return _run_coroutine(
-            self.sweep_async(query, worlds, stats=stats, count_cliques=count_cliques)
-        )
-
-
-def as_engine(evaluator) -> EvaluationEngine:
-    """Coerce *evaluator* — an engine or a bare callable — to an engine."""
-    if isinstance(evaluator, EvaluationEngine):
-        return evaluator
-    if callable(evaluator):
-        return _CallbackEngine(evaluator)
-    raise AlgorithmError(
-        f"expected an EvaluationEngine or a (query, active) -> bool "
-        f"callable, got {type(evaluator).__name__}"
-    )
-
-
-def make_engine(
-    name: str | None,
-    backend: "Backend",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> EvaluationEngine:
-    """Build an engine by name over *backend*.
-
-    ``name=None`` reads the ``REPRO_ENGINE`` environment variable
-    (default ``"sync"``).  ``"async"`` wraps a synchronous backend in
-    :class:`~repro.storage.base.AsyncBackendAdapter` automatically;
-    backends that already expose coroutine ``evaluate`` are used as-is.
-    """
-    name = resolve_engine_name(name)
-    if name == "sync":
-        return SyncEngine(backend)
-    if name == "batched":
-        return BatchedEngine(backend, batch_size=batch_size)
-    if name == "async":
-        if asyncio.iscoroutinefunction(getattr(backend, "evaluate", None)):
-            return AsyncEngine(backend)  # type: ignore[arg-type]
-        from repro.storage.base import AsyncBackendAdapter
-
-        return AsyncEngine(AsyncBackendAdapter(backend))
-    raise AlgorithmError(
-        f"unknown engine {name!r}; expected one of {ENGINES}"
-    )
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(backend={type(self.backend).__name__})"

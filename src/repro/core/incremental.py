@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.possible_worlds import get_maximal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import EvaluationEngine
+    from repro.core.engine import SyncEngine
     from repro.core.results import DCSatStats
     from repro.core.workspace import Workspace
 
@@ -310,7 +310,7 @@ class VerdictLedger:
 
 def revalidate_witness(
     workspace: "Workspace",
-    engine: "EvaluationEngine",
+    engine: "SyncEngine",
     query,
     witness: frozenset[str],
     stats: "DCSatStats | None" = None,
@@ -336,26 +336,8 @@ def revalidate_witness(
     return bool(engine.evaluate(query, witness))
 
 
-async def revalidate_witness_async(
-    workspace: "Workspace",
-    engine: "EvaluationEngine",
-    query,
-    witness: frozenset[str],
-    stats: "DCSatStats | None" = None,
-) -> bool:
-    """:func:`revalidate_witness` with the evaluation awaited."""
-    if not all(tx_id in workspace.db.pending_ids for tx_id in witness):
-        return False
-    world = get_maximal(workspace, witness)
-    if world != witness:
-        return False
-    if stats is not None:
-        stats.evaluations += 1
-    return bool(await engine.evaluate_async(query, witness))
-
-
 def component_still_satisfied(
-    engine: "EvaluationEngine",
+    engine: "SyncEngine",
     query,
     candidates: Iterable[str],
     stats: "DCSatStats | None" = None,
@@ -373,18 +355,6 @@ def component_still_satisfied(
     return not engine.evaluate(query, frozenset(candidates))
 
 
-async def component_still_satisfied_async(
-    engine: "EvaluationEngine",
-    query,
-    candidates: Iterable[str],
-    stats: "DCSatStats | None" = None,
-) -> bool:
-    """:func:`component_still_satisfied` with the evaluation awaited."""
-    if stats is not None:
-        stats.evaluations += 1
-    return not await engine.evaluate_async(query, frozenset(candidates))
-
-
 def component_footprint(db, candidates: Iterable[str]) -> frozenset[str]:
     """The relations the component's member transactions write."""
     relations: set[str] = set()
@@ -398,7 +368,5 @@ __all__ = [
     "VerdictLedger",
     "component_footprint",
     "component_still_satisfied",
-    "component_still_satisfied_async",
     "revalidate_witness",
-    "revalidate_witness_async",
 ]

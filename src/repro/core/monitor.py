@@ -25,15 +25,9 @@ from repro.core.incremental import (
     VerdictLedger,
     component_footprint,
     component_still_satisfied,
-    component_still_satisfied_async,
     revalidate_witness,
-    revalidate_witness_async,
 )
-from repro.core.opt import (
-    component_survivors,
-    solve_component_async,
-    sweep_components,
-)
+from repro.core.opt import component_survivors, sweep_components
 from repro.core.results import DCSatResult, DCSatStats
 from repro.errors import ReproError
 from repro.obs.perf import default_cost_model
@@ -237,37 +231,6 @@ class ConstraintMonitor:
             sp.set(satisfied=entry.result.satisfied)
         return entry.result
 
-    async def status_async(
-        self, name: str, use_subsumption: bool = True
-    ) -> DCSatResult:
-        """:meth:`status` for event-loop callers.
-
-        Cache hits and subsumption answers resolve without suspending;
-        an actual solve awaits :meth:`DCSatChecker.check_async`, so an
-        async evaluation engine's backend I/O can overlap with whatever
-        else the loop is doing (see :mod:`repro.service.server`).
-        """
-        entry = self.entry(name)
-        with obs_span("monitor.status", constraint=name, mode="async") as sp:
-            if entry.result is None and use_subsumption:
-                covering = self._subsumed_by_satisfied(entry)
-                if covering is not None:
-                    entry.result = DCSatResult(
-                        satisfied=True,
-                        stats=DCSatStats(algorithm=f"subsumed-by:{covering}"),
-                    )
-                    sp.set(outcome="subsumed", covered_by=covering)
-                    return entry.result
-            if entry.result is None:
-                sp.set(outcome="check")
-                entry.result = await self._check_entry_async(entry)
-                entry.checks_run += 1
-            else:
-                sp.set(outcome="cache-hit")
-                entry.cache_hits += 1
-            sp.set(satisfied=entry.result.satisfied)
-        return entry.result
-
     def status_all(self, batch: bool = True) -> dict[str, DCSatResult]:
         """Verdicts for every registered constraint.
 
@@ -331,22 +294,9 @@ class ConstraintMonitor:
         self._dirty_since_check.pop(entry.name, None)
         return self.checker.check(entry.query, **entry.check_kwargs)
 
-    async def _check_entry_async(self, entry: MonitorEntry) -> DCSatResult:
-        if self._incremental_eligible(entry):
-            return await self._check_incremental_async(entry)
-        self._dirty_since_check.pop(entry.name, None)
-        return await self.checker.check_async(
-            entry.query, **entry.check_kwargs
-        )
-
-    def _incremental_preamble(
-        self, entry: MonitorEntry
-    ) -> tuple[ConjunctiveQuery | AggregateQuery | None, DCSatResult | None, DCSatStats]:
-        """Shared setup of the ledger path: normalize + dirty counters.
-
-        Returns ``(query, early_result, stats)`` — ``early_result`` is
-        non-None when normalization already decided the check.
-        """
+    def _check_incremental(self, entry: MonitorEntry) -> DCSatResult:
+        """OptDCSat with the ledger consulted per surviving component."""
+        checker = self.checker
         kwargs = entry.check_kwargs
         stats = DCSatStats()
         stats.dirty_components = self._dirty_since_check.pop(entry.name, 0)
@@ -358,16 +308,7 @@ class ConstraintMonitor:
             query, verdict = normalize_query(query)
             if verdict is Verdict.UNSATISFIABLE:
                 stats.algorithm = "rewrite"
-                return None, DCSatResult(satisfied=True, stats=stats), stats
-        return query, None, stats
-
-    def _check_incremental(self, entry: MonitorEntry) -> DCSatResult:
-        """OptDCSat with the ledger consulted per surviving component."""
-        checker = self.checker
-        kwargs = entry.check_kwargs
-        query, early, stats = self._incremental_preamble(entry)
-        if early is not None:
-            return early
+                return DCSatResult(satisfied=True, stats=stats)
         started = time.perf_counter()
         with obs_span("dcsat.check", requested="opt-ledger") as sp:
             try:
@@ -531,115 +472,6 @@ class ConstraintMonitor:
             ):
                 best_index, best_witness = index, witness
         return best_witness
-
-    async def _check_incremental_async(
-        self, entry: MonitorEntry
-    ) -> DCSatResult:
-        """:meth:`_check_incremental` on the engine's coroutine surface.
-
-        The dirty components are swept sequentially (awaited) — the
-        process pool is a blocking surface, and the async engine's win
-        is overlapping backend I/O, which the awaited sweep preserves.
-        """
-        checker = self.checker
-        kwargs = entry.check_kwargs
-        query, early, stats = self._incremental_preamble(entry)
-        if early is not None:
-            return early
-        started = time.perf_counter()
-        with obs_span(
-            "dcsat.check", requested="opt-ledger", mode="async"
-        ) as sp:
-            try:
-                decided = await checker.fast_paths_async(
-                    query, True, kwargs.get("short_circuit", True), stats
-                )
-                if decided is not None:
-                    return decided
-                stats.algorithm = "opt-ledger"
-                survivors = component_survivors(
-                    checker.workspace,
-                    checker.fd_graph,
-                    checker.ind_graph,
-                    query,
-                    use_coverage=kwargs.get("use_coverage", True),
-                    stats=stats,
-                )
-                plan = self.ledger.plan(entry.name, checker.epoch, survivors)
-                pivot = kwargs.get("pivot", True)
-                counters = self.ledger.counters
-                cutoff_witness: frozenset[str] | None = None
-                sweep_indices: list[int] = []
-                for index, (disposition, ledger_entry) in enumerate(plan):
-                    candidates = survivors[index]
-                    if disposition == "reuse":
-                        stats.components_reused += 1
-                        counters["reused"] += 1
-                        self.ledger.touch(entry.name, ledger_entry)
-                        if ledger_entry.witness is not None:
-                            cutoff_witness = ledger_entry.witness
-                            break
-                        continue
-                    if disposition == "revalidate":
-                        counters["revalidations"] += 1
-                        stats.witness_revalidations += 1
-                        probe_started = time.perf_counter()
-                        if ledger_entry.witness is not None:
-                            alive = await revalidate_witness_async(
-                                checker.workspace, checker.engine, query,
-                                ledger_entry.witness, stats,
-                            )
-                        else:
-                            alive = await component_still_satisfied_async(
-                                checker.engine, query, candidates, stats
-                            )
-                        self._observe_probe(
-                            time.perf_counter() - probe_started,
-                            len(candidates),
-                        )
-                        if alive:
-                            counters["revalidation_hits"] += 1
-                            refreshed = self.ledger.store(
-                                entry.name, ledger_entry.key,
-                                ledger_entry.footprint, ledger_entry.witness,
-                                checker.epoch,
-                            )
-                            if refreshed.witness is not None:
-                                cutoff_witness = refreshed.witness
-                                break
-                            continue
-                    sweep_indices.append(index)
-                best_witness: frozenset[str] | None = None
-                for index in sweep_indices:
-                    candidates = survivors[index]
-                    with obs_span("solve_component", component=index):
-                        witness = await solve_component_async(
-                            checker.workspace, checker.fd_graph, query,
-                            candidates, checker.engine, pivot=pivot,
-                            stats=stats,
-                        )
-                    counters["swept"] += 1
-                    self.ledger.store(
-                        entry.name, candidates,
-                        component_footprint(checker.db, candidates),
-                        witness, checker.epoch,
-                    )
-                    if witness is not None:
-                        best_witness = witness
-                        break
-                if best_witness is not None:
-                    return DCSatResult(
-                        satisfied=False, witness=best_witness, stats=stats
-                    )
-                if cutoff_witness is not None:
-                    return DCSatResult(
-                        satisfied=False, witness=cutoff_witness, stats=stats
-                    )
-                return DCSatResult(satisfied=True, stats=stats)
-            finally:
-                stats.elapsed_seconds = time.perf_counter() - started
-                sp.fold_stats(stats)
-                checker.workspace.clear_active()
 
     def _observe_probe(self, seconds: float, size: int) -> None:
         """Feed one revalidation probe into the shared cost model.

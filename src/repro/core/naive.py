@@ -10,26 +10,19 @@ world, and every maximal world arises from a maximal clique.
 
 Enumeration and evaluation are decoupled: :func:`maximal_worlds` emits
 the evaluation plan (a pure stream of candidate active-sets, no side
-effects), and an :class:`~repro.core.engine.EvaluationEngine` sweeps
-it — one world at a time, batched, or as coroutines
-(:func:`naive_dcsat_async`).
+effects), and the :class:`~repro.core.engine.SyncEngine` sweeps it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.core.engine import EvaluationEngine, as_engine
+from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.obs.trace import span as obs_span
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
-
-#: Evaluates the query over the workspace's currently active world.
-#: Solvers also accept an :class:`~repro.core.engine.EvaluationEngine`
-#: wherever a ``WorldEvaluator`` is expected (see ``as_engine``).
-WorldEvaluator = Callable[[ConjunctiveQuery | AggregateQuery, frozenset[str]], bool]
 
 
 def maximal_worlds(
@@ -41,7 +34,7 @@ def maximal_worlds(
     """The clique sweep's evaluation plan: one maximal world per clique.
 
     A pure generator — it never touches solver statistics, so an engine
-    that prefetches (batching) cannot skew the counters.  The consuming
+    that prefetches a chunk of worlds cannot skew the counters.  The consuming
     engine charges ``cliques_enumerated`` / ``worlds_checked`` /
     ``evaluations`` per world it actually examines.
     """
@@ -54,7 +47,7 @@ def naive_dcsat(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     query: ConjunctiveQuery | AggregateQuery,
-    evaluate_world: WorldEvaluator | EvaluationEngine,
+    engine: SyncEngine,
     pivot: bool = True,
     stats: DCSatStats | None = None,
 ) -> DCSatResult:
@@ -63,7 +56,6 @@ def naive_dcsat(
     Returns ``satisfied=False`` with the violating world as witness as
     soon as the query evaluates to true over some maximal world.
     """
-    engine = as_engine(evaluate_world)
     stats = stats if stats is not None else DCSatStats()
     stats.algorithm = stats.algorithm or "naive"
     with obs_span("clique_sweep", algorithm="naive", engine=engine.name) as sp:
@@ -78,26 +70,3 @@ def naive_dcsat(
         return DCSatResult(satisfied=False, witness=witness, stats=stats)
     return DCSatResult(satisfied=True, stats=stats)
 
-
-async def naive_dcsat_async(
-    workspace: Workspace,
-    fd_graph: FdTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery,
-    engine: EvaluationEngine,
-    pivot: bool = True,
-    stats: DCSatStats | None = None,
-) -> DCSatResult:
-    """:func:`naive_dcsat` on the engine's coroutine surface."""
-    stats = stats if stats is not None else DCSatStats()
-    stats.algorithm = stats.algorithm or "naive"
-    with obs_span("clique_sweep", algorithm="naive", engine=engine.name) as sp:
-        witness = await engine.sweep_async(
-            query,
-            maximal_worlds(workspace, fd_graph, pivot=pivot),
-            stats=stats,
-            count_cliques=True,
-        )
-        sp.set(cliques=stats.cliques_enumerated, violated=witness is not None)
-    if witness is not None:
-        return DCSatResult(satisfied=False, witness=witness, stats=stats)
-    return DCSatResult(satisfied=True, stats=stats)

@@ -9,8 +9,7 @@ no satisfying assignment spans two components).
 Enumeration is decoupled from evaluation: :func:`component_survivors`
 plus the per-component :func:`~repro.core.naive.maximal_worlds` stream
 form the evaluation plan, and :func:`solve_component` hands the stream
-to an :class:`~repro.core.engine.EvaluationEngine` (sync, batched or
-async — see :func:`opt_dcsat_async`).
+to the :class:`~repro.core.engine.SyncEngine`.
 
 Reproduction note: Proposition 2, as stated in the paper, can fail when
 two pending transactions are joined only *through tuples of the current
@@ -29,10 +28,10 @@ from __future__ import annotations
 import time
 
 from repro.core.coverage import covers
-from repro.core.engine import EvaluationEngine, as_engine
+from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.ind_graph import IndQTransactionGraph
-from repro.core.naive import WorldEvaluator, maximal_worlds
+from repro.core.naive import maximal_worlds
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
@@ -101,7 +100,7 @@ def solve_component(
     fd_graph: FdTransactionGraph,
     query: ConjunctiveQuery | AggregateQuery,
     candidates: set[str],
-    evaluate_world: WorldEvaluator | EvaluationEngine,
+    engine: SyncEngine,
     pivot: bool = True,
     stats: DCSatStats | None = None,
 ) -> frozenset[str] | None:
@@ -113,7 +112,6 @@ def solve_component(
     of the parallel solver pool: it only needs the workspace, the
     fd-graph and a candidate set — no ind-graph, no checker.
     """
-    engine = as_engine(evaluate_world)
     before = stats.cliques_enumerated if stats is not None else 0
     with obs_span(
         "clique_sweep", candidates=len(candidates), engine=engine.name
@@ -134,7 +132,7 @@ def sweep_components(
     fd_graph: FdTransactionGraph,
     query: ConjunctiveQuery | AggregateQuery,
     items: list[tuple[int, set[str]]],
-    engine: EvaluationEngine,
+    engine: SyncEngine,
     cost_model: CostModel,
     planner: str = "",
     pivot: bool = True,
@@ -172,37 +170,12 @@ def sweep_components(
     return resolved
 
 
-async def solve_component_async(
-    workspace: Workspace,
-    fd_graph: FdTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery,
-    candidates: set[str],
-    engine: EvaluationEngine,
-    pivot: bool = True,
-    stats: DCSatStats | None = None,
-) -> frozenset[str] | None:
-    """:func:`solve_component` on the engine's coroutine surface."""
-    before = stats.cliques_enumerated if stats is not None else 0
-    with obs_span(
-        "clique_sweep", candidates=len(candidates), engine=engine.name
-    ) as sp:
-        witness = await engine.sweep_async(
-            query,
-            maximal_worlds(workspace, fd_graph, restrict=candidates, pivot=pivot),
-            stats=stats,
-            count_cliques=True,
-        )
-        after = stats.cliques_enumerated if stats is not None else 0
-        sp.set(cliques=after - before, violated=witness is not None)
-    return witness
-
-
 def opt_dcsat(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     ind_graph: IndQTransactionGraph,
     query: ConjunctiveQuery | AggregateQuery,
-    evaluate_world: WorldEvaluator | EvaluationEngine,
+    engine: SyncEngine,
     pivot: bool = True,
     use_coverage: bool = True,
     check_connected: bool = True,
@@ -225,7 +198,6 @@ def opt_dcsat(
         workspace, fd_graph, ind_graph, query,
         use_coverage=use_coverage, stats=stats,
     )
-    engine = as_engine(evaluate_world)
     for index, candidates in enumerate(survivors):
         with obs_span("solve_component", component=index):
             witness = solve_component(
@@ -236,36 +208,3 @@ def opt_dcsat(
             return DCSatResult(satisfied=False, witness=witness, stats=stats)
     return DCSatResult(satisfied=True, stats=stats)
 
-
-async def opt_dcsat_async(
-    workspace: Workspace,
-    fd_graph: FdTransactionGraph,
-    ind_graph: IndQTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery,
-    engine: EvaluationEngine,
-    pivot: bool = True,
-    use_coverage: bool = True,
-    check_connected: bool = True,
-    stats: DCSatStats | None = None,
-) -> DCSatResult:
-    """:func:`opt_dcsat` on the engine's coroutine surface."""
-    if check_connected and not is_connected(query):
-        raise AlgorithmError(
-            "OptDCSat requires a connected conjunctive query; "
-            f"{query!s} is not connected"
-        )
-    stats = stats if stats is not None else DCSatStats()
-    stats.algorithm = stats.algorithm or "opt"
-    survivors = component_survivors(
-        workspace, fd_graph, ind_graph, query,
-        use_coverage=use_coverage, stats=stats,
-    )
-    for index, candidates in enumerate(survivors):
-        with obs_span("solve_component", component=index):
-            witness = await solve_component_async(
-                workspace, fd_graph, query, candidates, engine,
-                pivot=pivot, stats=stats,
-            )
-        if witness is not None:
-            return DCSatResult(satisfied=False, witness=witness, stats=stats)
-    return DCSatResult(satisfied=True, stats=stats)

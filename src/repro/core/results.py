@@ -10,10 +10,9 @@ class DCSatStats:
     """Work counters for one denial-constraint satisfaction check."""
 
     algorithm: str = ""
-    #: Which evaluation engine examined the worlds ("sync", "batched",
-    #: "async"; empty when no world sweep ran).  Deliberately *not* part
-    #: of the parity contract — engines must agree on every counter
-    #: below while differing here.
+    #: Which evaluation engine examined the worlds (``"sync"``; empty
+    #: when no world sweep ran).  Not part of the parity contract: it
+    #: labels the engine, it does not count work.
     engine: str = ""
     short_circuit_used: bool = False
     short_circuit_result: bool | None = None

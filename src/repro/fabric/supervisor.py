@@ -54,7 +54,6 @@ class ShardSpec:
     db_path: str
     host: str = "127.0.0.1"
     backend: str | None = None
-    engine: str | None = None
     pool_size: int = 1  # 1 = sequential solver, no nested fork pool
     queue_limit: int = 64
     deadline: float = 30.0
@@ -73,8 +72,6 @@ class ShardSpec:
         ]
         if self.backend:
             argv += ["--backend", self.backend]
-        if self.engine:
-            argv += ["--engine", self.engine]
         return argv
 
 

@@ -67,7 +67,7 @@ from repro.core.batch import batch_dcsat
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
 from repro.core.bitset import make_fd_graph
-from repro.core.engine import EvaluationEngine, make_engine, resolve_engine_name
+from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.opt import component_survivors, solve_component, sweep_components
 from repro.core.results import DCSatResult, DCSatStats
@@ -153,9 +153,7 @@ def _transaction_from_wire(payload: dict) -> Transaction:
     )
 
 
-def _build_worker_ctx(
-    db_payload: dict, backend_name: str, engine_name: str, base_epoch: int
-) -> dict:
+def _build_worker_ctx(db_payload: dict, backend_name: str, base_epoch: int) -> dict:
     db = serialize.database_from_dict(db_payload, validate=False)
     workspace = Workspace(db)
     # Planner resolves from REPRO_BITSET, which forked workers inherit —
@@ -167,9 +165,8 @@ def _build_worker_ctx(
         "workspace": workspace,
         "fd_graph": fd_graph,
         "backend": backend,
-        "engine": make_engine(engine_name, backend),
+        "engine": SyncEngine(backend),
         "backend_name": backend_name,
-        "engine_name": engine_name,
         "epoch": base_epoch,
         "base_epoch": base_epoch,
     }
@@ -178,14 +175,11 @@ def _build_worker_ctx(
 def _init_worker(
     db_payload: dict,
     backend_name: str,
-    engine_name: str,
     base_epoch: int,
     stop_word,
 ) -> None:
     global _WORKER_CTX, _STOP_WORD
-    _WORKER_CTX = _build_worker_ctx(
-        db_payload, backend_name, engine_name, base_epoch
-    )
+    _WORKER_CTX = _build_worker_ctx(db_payload, backend_name, base_epoch)
     _STOP_WORD = stop_word
 
 
@@ -210,7 +204,7 @@ def _sync_worker(
     ):
         ctx["backend"].close()
         ctx = _WORKER_CTX = _build_worker_ctx(
-            snapshot, ctx["backend_name"], ctx["engine_name"], base_epoch
+            snapshot, ctx["backend_name"], base_epoch
         )
     if ctx["base_epoch"] != base_epoch or ctx["epoch"] > target_epoch:
         raise ServiceError(
@@ -380,7 +374,6 @@ class SolverPool:
         checker: DCSatChecker,
         max_workers: int | None = None,
         backend: str | None = None,
-        engine: str | None = None,
         start_method: str | None = None,
         resync_ops: int = 256,
         min_components: int = 2,
@@ -389,7 +382,6 @@ class SolverPool:
         self.checker = checker
         self.max_workers = max_workers or default_pool_size()
         self._backend_name = resolve_backend_name(backend)
-        self._engine_name = resolve_engine_name(engine)
         self.cost_model = (
             cost_model if cost_model is not None else default_cost_model()
         )
@@ -460,8 +452,8 @@ class SolverPool:
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(
-                    payload, self._backend_name, self._engine_name,
-                    self._base_epoch, self._stop_word,
+                    payload, self._backend_name, self._base_epoch,
+                    self._stop_word,
                 ),
             )
         return self._executor
@@ -603,7 +595,7 @@ class SolverPool:
             predictions = [
                 self.cost_model.predict(
                     len(candidates),
-                    engine=self._engine_name,
+                    engine=SyncEngine.name,
                     planner=self._planner_name,
                 )
                 for candidates in survivors
@@ -746,7 +738,7 @@ class SolverPool:
                             self.cost_model.observe(
                                 task_stats.elapsed_seconds,
                                 task_stats.max_component_size,
-                                engine=self._engine_name,
+                                engine=SyncEngine.name,
                                 planner=self._planner_name,
                                 cliques=task_stats.cliques_enumerated,
                             )
@@ -883,7 +875,6 @@ class PooledDCSatChecker(DCSatChecker):
         db: BlockchainDatabase,
         backend: str | None = None,
         assume_nonnegative_sums: bool = False,
-        engine: str | EvaluationEngine | None = None,
         max_workers: int | None = None,
         start_method: str | None = None,
         resync_ops: int = 256,
@@ -892,19 +883,14 @@ class PooledDCSatChecker(DCSatChecker):
             db,
             backend=backend,
             assume_nonnegative_sums=assume_nonnegative_sums,
-            engine=engine,
         )
-        # Workers need picklable *names*, not instances: resolve the
-        # same defaults the coordinator resolved so both sides agree.
+        # Workers need a picklable backend *name*, not an instance:
+        # resolve the same default the coordinator resolved so both
+        # sides agree.
         self.pool = SolverPool(
             self,
             max_workers=max_workers,
             backend=resolve_backend_name(backend),
-            engine=(
-                engine.name
-                if isinstance(engine, EvaluationEngine)
-                else resolve_engine_name(engine)
-            ),
             start_method=start_method,
             resync_ops=resync_ops,
         )

@@ -228,7 +228,23 @@ class ConstraintService:
             result = monitor.status(
                 name, use_subsumption=args.get("use_subsumption", True)
             )
-            return self._record_status(name, cached, started, result)
+            # The per-constraint latency sample carries the request's
+            # trace id as its exemplar, so ``/metrics`` links straight
+            # into ``/tracez``.
+            elapsed = time.perf_counter() - started
+            self.metrics.histogram(
+                "repro_constraint_check_seconds",
+                "Time to answer a status request, by constraint.",
+                labels={"constraint": name},
+            ).observe(elapsed, exemplar=self.tracer.current_trace_id())
+            current = self.tracer.current()
+            if current is not None:
+                current.set(check_seconds=round(elapsed, 6))
+            if not cached and result.stats.algorithm.startswith("subsumed-by:"):
+                self._subsumption_answers.inc()
+            payload = protocol.result_to_wire(result)
+            payload["cached"] = cached
+            return payload
         if op == "status_all":
             verdicts = monitor.status_all(batch=args.get("batch", True))
             return {
@@ -248,67 +264,6 @@ class ConstraintService:
                 )
             return rebalance()
         raise ServiceError(f"unknown operation {op!r}", code="bad-request")
-
-    def _record_status(
-        self, name: str, cached: bool, started: float, result
-    ) -> dict:
-        """Shared status bookkeeping: the per-constraint latency sample
-        (with the request's trace id as its exemplar, so ``/metrics``
-        links straight into ``/tracez``), the subsumption counter, and
-        the wire payload."""
-        elapsed = time.perf_counter() - started
-        self.metrics.histogram(
-            "repro_constraint_check_seconds",
-            "Time to answer a status request, by constraint.",
-            labels={"constraint": name},
-        ).observe(elapsed, exemplar=self.tracer.current_trace_id())
-        current = self.tracer.current()
-        if current is not None:
-            current.set(check_seconds=round(elapsed, 6))
-        if not cached and result.stats.algorithm.startswith("subsumed-by:"):
-            self._subsumption_answers.inc()
-        payload = protocol.result_to_wire(result)
-        payload["cached"] = cached
-        return payload
-
-    def _async_status_capable(self) -> bool:
-        """True when status solves can run natively on the event loop.
-
-        Requires a monitor that exposes :meth:`status_async` *and*
-        checkers whose evaluation engines are coroutine-native
-        (``engine.is_async``) — otherwise the "async" path would just
-        block the loop exactly where the solver thread would not.
-        """
-        if not callable(getattr(self.monitor, "status_async", None)):
-            return False
-        checkers = _monitor_checkers(self.monitor)
-        return bool(checkers) and all(
-            getattr(getattr(checker, "engine", None), "is_async", False)
-            for checker in checkers
-        )
-
-    async def _run_status_async(self, args: dict) -> dict:
-        """The ``status`` operation awaited on the event loop."""
-        if self.before_op is not None:
-            self.before_op("status", args)
-        name = args["name"]
-        entry = self.monitor.entry(name)
-        cached = entry.result is not None
-        started = time.perf_counter()
-        result = await self.monitor.status_async(
-            name, use_subsumption=args.get("use_subsumption", True)
-        )
-        return self._record_status(name, cached, started, result)
-
-    async def _traced_status_async(self, root: Span | None, args: dict) -> dict:
-        if root is None:
-            return await self._run_status_async(args)
-        try:
-            with self.tracer.use(root):
-                with self.tracer.span("solve", op="status", mode="async"):
-                    return await self._run_status_async(args)
-        finally:
-            self.tracer.finish(root)
 
     def _traced_run_op(self, root: Span | None, op: str, args: dict) -> dict:
         """Run one queued operation in the solver thread, under its
@@ -408,16 +363,9 @@ class ConstraintService:
             self._inflight_gauge.set(self._inflight)
             started = time.perf_counter()
             try:
-                if op == "status" and self._async_status_capable():
-                    # Coroutine-native engines solve on the event loop
-                    # itself; the dispatcher still awaits each verdict
-                    # before pulling the next op, so the monitor stays
-                    # effectively single-threaded.
-                    result = await self._traced_status_async(root, args)
-                else:
-                    result = await loop.run_in_executor(
-                        self._solver, self._traced_run_op, root, op, args
-                    )
+                result = await loop.run_in_executor(
+                    self._solver, self._traced_run_op, root, op, args
+                )
             except Exception as error:  # delivered to the waiting handler
                 if not future.cancelled():
                     future.set_exception(error)

@@ -195,14 +195,6 @@ class ShardedMonitor:
             name, use_subsumption=use_subsumption
         )
 
-    async def status_async(
-        self, name: str, use_subsumption: bool = True
-    ) -> DCSatResult:
-        """:meth:`status` awaiting the owning shard's async solve path."""
-        return await self._shard_of(name).monitor.status_async(
-            name, use_subsumption=use_subsumption
-        )
-
     def status_all(self, batch: bool = True) -> dict[str, DCSatResult]:
         merged: dict[str, DCSatResult] = {}
         for shard in self._shards:

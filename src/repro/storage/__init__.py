@@ -9,36 +9,24 @@ backends:
 * :class:`MemoryBackend` — pure-Python evaluation over the overlay
   workspace (the active set *is* the ``current`` column);
 * :class:`SqliteBackend` — a real SQL engine (stdlib sqlite3, standing
-  in for Postgres): tables carry a ``_current`` flag maintained with
-  UPDATE statements, and denial constraints are compiled to SQL; its
-  ``evaluate_many`` answers a whole batch of worlds in one round trip
-  via a per-world active-set CTE (the
-  :class:`~repro.core.engine.BatchedEngine` hook).
-
-:class:`AsyncBackend` is the coroutine twin of the protocol, and
-:class:`AsyncBackendAdapter` lifts either backend onto it for the
-:class:`~repro.core.engine.AsyncEngine` (see ``docs/ENGINES.md``).
+  in for Postgres): denial constraints are compiled to one
+  world-correlated SQL statement that derives the ``current`` column
+  per world from a bound active-set CTE, so any batch of worlds is
+  answered in one round trip and evaluation never writes to the
+  database (see ``docs/ENGINES.md``).
 """
 
 import os
 
-from repro.storage.base import (
-    AsyncBackend,
-    AsyncBackendAdapter,
-    Backend,
-    evaluate_many_fallback,
-)
+from repro.storage.base import Backend, evaluate_many_fallback
 from repro.storage.memory import MemoryBackend
 from repro.storage.sqlite_backend import SqliteBackend
-from repro.storage.sql_compiler import compile_query, compile_query_worlds
+from repro.storage.sql_compiler import compile_query_worlds
 
 __all__ = [
-    "AsyncBackend",
-    "AsyncBackendAdapter",
     "Backend",
     "MemoryBackend",
     "SqliteBackend",
-    "compile_query",
     "compile_query_worlds",
     "evaluate_many_fallback",
     "make_backend",

@@ -1,20 +1,15 @@
-"""The backend protocols: what the DCSat engine needs from storage.
+"""The backend protocol: what the DCSat engine needs from storage.
 
-Two surfaces:
-
-* :class:`Backend` — the blocking protocol.  ``evaluate`` answers one
-  world; ``evaluate_many`` answers a whole batch of worlds (the
-  :class:`~repro.core.engine.BatchedEngine` hook).  Backends without a
-  native batch path can delegate to :func:`evaluate_many_fallback`.
-* :class:`AsyncBackend` — the coroutine twin, consumed by
-  :class:`~repro.core.engine.AsyncEngine` so the service can run
-  evaluations on its event loop.  :class:`AsyncBackendAdapter` lifts
-  any synchronous backend onto this surface.
+``evaluate`` answers one world; ``evaluate_many`` answers a whole batch
+of worlds.  A backend that answers a batch in one round trip declares
+``multi_world = True`` and a ``member_budget`` (how many world members
+one round trip binds), and :class:`~repro.core.engine.SyncEngine` then
+feeds it its sweeps in chunks; other backends can delegate
+``evaluate_many`` to :func:`evaluate_many_fallback`.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
@@ -29,12 +24,7 @@ def evaluate_many_fallback(
     query: ConjunctiveQuery | AggregateQuery,
     actives: Sequence[frozenset[str]],
 ) -> list[bool]:
-    """The default batch path: one ``evaluate`` round trip per world.
-
-    Keeps every backend usable under the batched engine; backends that
-    can amortize (e.g. sqlite's per-world CTE) override
-    ``evaluate_many`` instead.
-    """
+    """The default batch path: one ``evaluate`` round trip per world."""
     return [backend.evaluate(query, active) for active in actives]
 
 
@@ -47,6 +37,9 @@ class Backend(Protocol):
     query-evaluation side — selecting the tuples of the active world and
     evaluating denial constraints over them.
     """
+
+    #: True when :meth:`evaluate_many` answers a batch in one round trip.
+    multi_world: bool
 
     def attach(self, workspace: "Workspace") -> None:
         """Bind to a workspace and load its current contents."""
@@ -76,94 +69,3 @@ class Backend(Protocol):
 
     def close(self) -> None:
         """Release any resources held by the backend."""
-
-
-@runtime_checkable
-class AsyncBackend(Protocol):
-    """The coroutine evaluation surface consumed by ``AsyncEngine``.
-
-    Maintenance hooks stay synchronous — they are cheap bookkeeping on
-    the request path — while the potentially I/O-bound evaluations are
-    awaitable, so a server can interleave them with request handling.
-    """
-
-    def attach(self, workspace: "Workspace") -> None:
-        """Bind to a workspace and load its current contents."""
-
-    async def evaluate(
-        self,
-        query: ConjunctiveQuery | AggregateQuery,
-        active: frozenset[str],
-    ) -> bool:
-        """Evaluate the query over the world ``R ∪ {facts of active}``."""
-
-    async def evaluate_many(
-        self,
-        query: ConjunctiveQuery | AggregateQuery,
-        actives: Sequence[frozenset[str]],
-    ) -> list[bool]:
-        """Evaluate the query over each world, positionally aligned."""
-
-    def on_issue(self, tx: "Transaction") -> None:
-        """A transaction was added to the pending set."""
-
-    def on_commit(self, tx: "Transaction") -> None:
-        """A pending transaction was committed into the current state."""
-
-    def on_forget(self, tx: "Transaction") -> None:
-        """A pending transaction was dropped without committing."""
-
-    def close(self) -> None:
-        """Release any resources held by the backend."""
-
-
-class AsyncBackendAdapter:
-    """Lift a synchronous :class:`Backend` onto the async surface.
-
-    Evaluations run inline on the event-loop thread with a cooperative
-    yield before each call — sqlite connections are bound to their
-    creating thread, so hopping to a worker thread is not an option,
-    and the in-memory backend is too cheap to justify one.  A backend
-    with genuinely remote I/O should implement :class:`AsyncBackend`
-    natively instead of going through this adapter.
-    """
-
-    def __init__(self, backend: Backend):
-        self.sync_backend = backend
-
-    def attach(self, workspace: "Workspace") -> None:
-        self.sync_backend.attach(workspace)
-
-    async def evaluate(
-        self,
-        query: ConjunctiveQuery | AggregateQuery,
-        active: frozenset[str],
-    ) -> bool:
-        await asyncio.sleep(0)
-        return self.sync_backend.evaluate(query, active)
-
-    async def evaluate_many(
-        self,
-        query: ConjunctiveQuery | AggregateQuery,
-        actives: Sequence[frozenset[str]],
-    ) -> list[bool]:
-        await asyncio.sleep(0)
-        many = getattr(self.sync_backend, "evaluate_many", None)
-        if many is not None:
-            return many(query, actives)
-        return evaluate_many_fallback(self.sync_backend, query, actives)
-
-    def on_issue(self, tx: "Transaction") -> None:
-        self.sync_backend.on_issue(tx)
-
-    def on_commit(self, tx: "Transaction") -> None:
-        self.sync_backend.on_commit(tx)
-
-    def on_forget(self, tx: "Transaction") -> None:
-        self.sync_backend.on_forget(tx)
-
-    def close(self) -> None:
-        self.sync_backend.close()
-
-    def __repr__(self) -> str:
-        return f"AsyncBackendAdapter({self.sync_backend!r})"

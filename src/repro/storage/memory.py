@@ -19,6 +19,8 @@ class MemoryBackend:
     workspace; the active set plays the role of the ``current`` column,
     so world switches are O(1)."""
 
+    multi_world = False
+
     def __init__(self):
         self._workspace: "Workspace | None" = None
 

@@ -1,31 +1,32 @@
 """Compile denial constraints to SQL (the Postgres-style path).
 
-Conjunctive queries become ``SELECT EXISTS(...)`` over a join of the
-positive atoms, with ``_current = 1`` guards playing the paper's
-``current`` column, ``NOT EXISTS`` subqueries for negated atoms, and
-comparison predicates inlined.  Aggregate queries compile to a
-``SELECT DISTINCT`` over the body's variables — the set ``H`` of
-satisfying assignments — and the aggregate itself is computed by the
-backend in Python, which keeps the bag semantics (including the
-empty-bag-is-false rule) in exactly one place.
-
-:func:`compile_query_worlds` is the batched twin: instead of reading
-the world off the ``_current`` column, the statement is correlated
-against two caller-provided CTEs —
+A denial constraint compiles to one *world-correlated* statement.  The
+paper marks the tuples of the world under consideration with a Boolean
+``current`` column; here that column is derived per candidate world
+instead of stored, from two caller-bound CTEs (see :func:`bind_worlds`):
 
 * ``__repro_world_ids(world_id)`` — one row per candidate world;
 * ``__repro_worlds(world_id, tx)`` — that world's active-set members —
 
-and every ``_current = 1`` guard becomes "committed, or pending in
-*this* row's world".  One statement then answers a whole batch of
-worlds in a single round trip: the ``"exists"`` shape returns the ids
-of violating worlds, the ``"rows"`` shape returns satisfying
-assignments prefixed by their world id.
+and every positive or negated atom is guarded by "committed, or pending
+in *this* row's world".  One statement answers a whole batch of worlds
+(a single world being the batch of one) without writing to the
+database.
+
+Conjunctive queries return the ids of violating worlds: ``SELECT
+world_id ... WHERE EXISTS(<join of the positive atoms>)``, with
+``NOT EXISTS`` subqueries for negated atoms and comparison predicates
+inlined.  Aggregate queries return the set ``H`` of satisfying
+assignments of every world, each row prefixed by its world id; the
+aggregate itself is computed by the backend in Python, which keeps the
+bag semantics (including the empty-bag-is-false rule) in exactly one
+place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import QueryError
 from repro.query.ast import (
@@ -40,8 +41,8 @@ from repro.relational.schema import Schema
 
 _OP_SQL = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: CTE names the multi-world compilation references; the backend binds
-#: them with a ``WITH ... AS (VALUES ...)`` prologue per batch.
+#: CTE names the world-correlated compilation references; the backend
+#: binds them with a ``WITH ... AS (VALUES ...)`` prologue per batch.
 WORLDS_CTE = "__repro_worlds"
 WORLD_IDS_CTE = "__repro_world_ids"
 #: Alias of the ``WORLD_IDS_CTE`` row the statement is correlated on.
@@ -57,9 +58,10 @@ def quote_identifier(name: str) -> str:
 class CompiledQuery:
     """A compiled denial constraint.
 
-    ``kind`` is ``"exists"`` (conjunctive; the statement returns a single
-    0/1 row) or ``"rows"`` (aggregate; the statement returns one row per
-    satisfying assignment, with columns ordered as ``var_order``).
+    ``kind`` is ``"exists"`` (the statement returns the id of every
+    world whose body is non-empty) or ``"rows"`` (aggregate; one row per
+    world and satisfying assignment: the world id, then the columns
+    ordered as ``var_order``).
     """
 
     sql: str
@@ -69,9 +71,8 @@ class CompiledQuery:
 
 
 class _Compilation:
-    def __init__(self, schema: Schema, world_correlated: bool = False):
+    def __init__(self, schema: Schema):
         self.schema = schema
-        self.world_correlated = world_correlated
         self.conditions: list[str] = []
         self.params: list = []
         self.var_expr: dict[str, str] = {}
@@ -90,13 +91,10 @@ class _Compilation:
     def _membership_guard(self, alias: str) -> str:
         """The per-row "belongs to the world under consideration" test.
 
-        Single-world mode reads the materialized ``_current`` column;
-        world-correlated mode re-derives it per candidate world: a row
-        is in a world when it is committed (``_tx = ''``) or its
+        The paper's ``current`` column, derived per candidate world: a
+        row is in a world when it is committed (``_tx = ''``) or its
         pending transaction is among that world's active set.
         """
-        if not self.world_correlated:
-            return f"{alias}._current = 1"
         return (
             f"({alias}._tx = '' OR EXISTS (SELECT 1 FROM "
             f"{quote_identifier(WORLDS_CTE)} __w WHERE "
@@ -151,10 +149,8 @@ class _Compilation:
         )
 
 
-def _compile_body(
-    body: ConjunctiveQuery, schema: Schema, world_correlated: bool = False
-) -> _Compilation:
-    compilation = _Compilation(schema, world_correlated=world_correlated)
+def _compile_body(body: ConjunctiveQuery, schema: Schema) -> _Compilation:
+    compilation = _Compilation(schema)
     for atom in body.positive_atoms:
         compilation.add_positive_atom(atom)
     for comparison in body.comparisons:
@@ -164,58 +160,15 @@ def _compile_body(
     return compilation
 
 
-def compile_query(
+def compile_query_worlds(
     query: ConjunctiveQuery | AggregateQuery, schema: Schema
 ) -> CompiledQuery:
     """Compile a denial constraint against *schema*.
 
-    See the module docstring for the two compilation shapes.
-    """
-    body = query.body if isinstance(query, AggregateQuery) else query
-    compilation = _compile_body(body, schema)
-    from_clause = ", ".join(compilation.from_items)
-    where_clause = " AND ".join(compilation.conditions) or "1"
-
-    if isinstance(query, ConjunctiveQuery):
-        sql = (
-            f"SELECT EXISTS(SELECT 1 FROM {from_clause} WHERE {where_clause})"
-        )
-        return CompiledQuery(sql=sql, params=compilation.params, kind="exists")
-
-    variables = sorted(compilation.var_expr)
-    if not variables:
-        # A variable-free body has at most one satisfying assignment;
-        # EXISTS answers whether the bag is empty.
-        sql = (
-            f"SELECT EXISTS(SELECT 1 FROM {from_clause} WHERE {where_clause})"
-        )
-        return CompiledQuery(sql=sql, params=compilation.params, kind="exists")
-
-    select_list = ", ".join(
-        f"{compilation.var_expr[name]} AS {quote_identifier(name)}"
-        for name in variables
-    )
-    sql = (
-        f"SELECT DISTINCT {select_list} FROM {from_clause} "
-        f"WHERE {where_clause}"
-    )
-    return CompiledQuery(
-        sql=sql,
-        params=compilation.params,
-        kind="rows",
-        var_order=tuple(variables),
-    )
-
-
-def compile_query_worlds(
-    query: ConjunctiveQuery | AggregateQuery, schema: Schema
-) -> CompiledQuery:
-    """Compile the batched, world-correlated form of a denial constraint.
-
     The statement references the :data:`WORLD_IDS_CTE` /
     :data:`WORLDS_CTE` tables (the caller prepends the ``WITH``
-    prologue binding them — see ``SqliteBackend.evaluate_many``) and
-    answers every candidate world in one round trip:
+    prologue :func:`bind_worlds` builds) and answers every candidate
+    world in one round trip:
 
     * ``kind="exists"`` — one row per **violating** world:
       ``SELECT wi.world_id ... WHERE EXISTS(<body>)``;
@@ -224,7 +177,7 @@ def compile_query_worlds(
       them and applies the aggregate per world in Python).
     """
     body = query.body if isinstance(query, AggregateQuery) else query
-    compilation = _compile_body(body, schema, world_correlated=True)
+    compilation = _compile_body(body, schema)
     from_clause = ", ".join(compilation.from_items)
     where_clause = " AND ".join(compilation.conditions) or "1"
     ids_table = f"{quote_identifier(WORLD_IDS_CTE)} {WORLD_ALIAS}"
@@ -258,3 +211,32 @@ def compile_query_worlds(
         kind="rows",
         var_order=tuple(variables),
     )
+
+
+def bind_worlds(
+    compiled: CompiledQuery, worlds: Sequence[frozenset[str]], first_id: int = 0
+) -> tuple[str, list]:
+    """The executable ``(sql, params)`` of *compiled* over *worlds*.
+
+    Prepends the ``WITH`` prologue binding the two world CTEs.  World
+    ``i`` gets id ``first_id + i``; ids are inlined as integer literals,
+    and every member of every world is bound as one host parameter.
+    """
+    members: list[str] = []
+    member_rows: list[str] = []
+    for offset, world in enumerate(worlds):
+        row = f"({first_id + offset}, ?)"
+        member_rows.extend(row for _ in world)
+        members.extend(world)
+    if member_rows:
+        worlds_body = f"VALUES {', '.join(member_rows)}"
+    else:
+        # VALUES cannot be empty; bind a zero-row relation instead.
+        worlds_body = "SELECT -1, '' WHERE 0"
+    ids = ", ".join(f"({first_id + offset})" for offset in range(len(worlds)))
+    sql = (
+        f"WITH {quote_identifier(WORLDS_CTE)}(world_id, tx) AS ({worlds_body}), "
+        f"{quote_identifier(WORLD_IDS_CTE)}(world_id) AS (VALUES {ids}) "
+        f"{compiled.sql}"
+    )
+    return sql, [*members, *compiled.params]

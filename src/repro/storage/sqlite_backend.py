@@ -1,16 +1,18 @@
 """SQLite backend: the paper's Postgres architecture on the stdlib engine.
 
-Each relation becomes a table with its attribute columns plus
+Each relation becomes a table with its attribute columns plus ``_tx``,
+the provenance: ``''`` for committed tuples, else the pending
+transaction id.
 
-* ``_tx`` — provenance: ``''`` for committed tuples, else the pending
-  transaction id;
-* ``_current`` — the paper's Boolean ``current`` column: 1 when the
-  tuple belongs to the possible world under consideration.
-
-Selecting a possible world issues real ``UPDATE`` statements flipping
-``_current`` for the transactions entering/leaving the world — the very
-operation the paper reports as a dominant cost — and denial constraints
-run as compiled SQL (:mod:`repro.storage.sql_compiler`).
+The paper selects a possible world by flipping a Boolean ``current``
+column and evaluates each denial constraint over the flagged tuples.
+Here the ``current`` test is derived per world inside the statement
+itself: every query compiles once to a world-correlated statement
+(:mod:`repro.storage.sql_compiler`) whose bound active-set CTE says
+which pending transactions each candidate world holds.  Evaluating a
+world, or a whole batch of worlds in one round trip, therefore never
+writes to the database; the tables change only when transactions are
+issued, committed or forgotten.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import StorageError
 from repro.query.ast import AggregateQuery, ConjunctiveQuery, Constant
 from repro.storage.sql_compiler import (
-    WORLD_IDS_CTE,
-    WORLDS_CTE,
     CompiledQuery,
-    compile_query,
+    bind_worlds,
     compile_query_worlds,
     quote_identifier,
 )
@@ -35,19 +35,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _TYPE_AFFINITY = {int: "INTEGER", float: "REAL", str: "TEXT", bytes: "BLOB", bool: "INTEGER"}
 
-#: sqlite limits host parameters; stay well below the historical 999.
-_PARAM_BUDGET = 800
+#: World members bound as host parameters per round trip.  Far below
+#: sqlite's historical limit of 999 (which leaves room for the query's
+#: own constants), and low on purpose: a chunk of small worlds shares a
+#: statement, while a large world, whose evaluation dwarfs a round trip,
+#: goes out alone.  A world with more members than this is never split.
+_PARAM_BUDGET = 128
 
 
 class SqliteBackend:
     """Stores the workspace in sqlite and evaluates compiled SQL."""
+
+    multi_world = True
 
     def __init__(self, path: str = ":memory:", create_indexes: bool = True):
         self._path = path
         self._create_indexes = create_indexes
         self._conn: sqlite3.Connection | None = None
         self._workspace: "Workspace | None" = None
-        self._active: frozenset[str] = frozenset()
         # Keyed by the query's textual form: id()-based keys are unsafe
         # (CPython recycles addresses of collected query objects, which
         # would hand a later query a stale compiled plan).
@@ -55,8 +60,11 @@ class SqliteBackend:
         #: SELECT round trips issued for world evaluation — one per
         #: :meth:`evaluate` call, one per :meth:`evaluate_many` chunk.
         self.eval_roundtrips = 0
-        #: ``executemany`` flip statements issued by :meth:`set_active`.
-        self.flip_statements = 0
+
+    @property
+    def member_budget(self) -> int:
+        """World members one round trip binds (the engine's chunk bound)."""
+        return _PARAM_BUDGET
 
     # ------------------------------------------------------------------
     # Attachment / loading
@@ -71,7 +79,6 @@ class SqliteBackend:
         self._conn.execute("PRAGMA synchronous = OFF")
         self._create_schema()
         self._bulk_load()
-        self._active = frozenset()
 
     def _require(self) -> tuple[sqlite3.Connection, "Workspace"]:
         if self._conn is None or self._workspace is None:
@@ -88,7 +95,6 @@ class SqliteBackend:
                     f"{quote_identifier(attr.name)} {affinity}".rstrip()
                 )
             columns.append("_tx TEXT NOT NULL DEFAULT ''")
-            columns.append("_current INTEGER NOT NULL DEFAULT 0")
             column_names = ", ".join(
                 quote_identifier(a.name) for a in rel_schema.attributes
             )
@@ -113,7 +119,7 @@ class SqliteBackend:
     def _insert_rows(self, relation: str, rows: list[tuple]) -> None:
         conn, workspace = self._require()
         arity = workspace.base[relation].schema.arity
-        placeholders = ", ".join("?" for _ in range(arity + 2))
+        placeholders = ", ".join("?" for _ in range(arity + 1))
         conn.executemany(
             f"INSERT OR IGNORE INTO {quote_identifier(relation)} "
             f"VALUES ({placeholders})",
@@ -123,7 +129,7 @@ class SqliteBackend:
     def _bulk_load(self) -> None:
         conn, workspace = self._require()
         for rel in workspace.base:
-            rows = [values + ("", 1) for values in rel]
+            rows = [values + ("",) for values in rel]
             if rows:
                 self._insert_rows(rel.name, rows)
         for tx in workspace.db.pending:
@@ -133,7 +139,7 @@ class SqliteBackend:
     def _load_transaction(self, tx: "Transaction") -> None:
         by_relation: dict[str, list[tuple]] = {}
         for rel, values in tx:
-            by_relation.setdefault(rel, []).append(values + (tx.tx_id, 0))
+            by_relation.setdefault(rel, []).append(values + (tx.tx_id,))
         for rel, rows in by_relation.items():
             self._insert_rows(rel, rows)
 
@@ -150,11 +156,9 @@ class SqliteBackend:
         for rel in tx.relation_names:
             table = quote_identifier(rel)
             conn.execute(f"DELETE FROM {table} WHERE _tx = ?", (tx.tx_id,))
-            rows = [values + ("", 1) for values in tx.tuples(rel)]
+            rows = [values + ("",) for values in tx.tuples(rel)]
             self._insert_rows(rel, rows)
         conn.commit()
-        if tx.tx_id in self._active:
-            self._active = self._active - {tx.tx_id}
 
     def on_forget(self, tx: "Transaction") -> None:
         conn, _ = self._require()
@@ -163,35 +167,6 @@ class SqliteBackend:
                 f"DELETE FROM {quote_identifier(rel)} WHERE _tx = ?", (tx.tx_id,)
             )
         conn.commit()
-        if tx.tx_id in self._active:
-            self._active = self._active - {tx.tx_id}
-
-    # ------------------------------------------------------------------
-    # World selection (the ``current`` column updates)
-
-    def _flip(self, tx_ids: list[str], value: int) -> None:
-        conn, workspace = self._require()
-        rows = [(value, tx_id) for tx_id in tx_ids]
-        # One executemany per table inside a single transaction: no
-        # per-chunk statement rebuilding, no host-parameter limit.
-        with conn:
-            for name in workspace.base.relation_names:
-                conn.executemany(
-                    f"UPDATE {quote_identifier(name)} "
-                    f"SET _current = ? WHERE _tx = ?",
-                    rows,
-                )
-                self.flip_statements += 1
-
-    def set_active(self, active: frozenset[str]) -> None:
-        """Flip ``_current`` so exactly *active* pending txs are current."""
-        added = sorted(active - self._active)
-        removed = sorted(self._active - active)
-        if added:
-            self._flip(added, 1)
-        if removed:
-            self._flip(removed, 0)
-        self._active = active
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -203,7 +178,7 @@ class SqliteBackend:
         key = f"{type(query).__name__}:{query}"
         compiled = self._compiled.get(key)
         if compiled is None:
-            compiled = compile_query(query, workspace.base.schema)
+            compiled = compile_query_worlds(query, workspace.base.schema)
             self._compiled[key] = compiled
         return compiled
 
@@ -212,39 +187,9 @@ class SqliteBackend:
         query: ConjunctiveQuery | AggregateQuery,
         active: frozenset[str],
     ) -> bool:
-        conn, _ = self._require()
-        self.set_active(active)
-        compiled = self._compiled_query(query)
-        self.eval_roundtrips += 1
-        cursor = conn.execute(compiled.sql, compiled.params)
-        if compiled.kind == "exists":
-            exists = bool(cursor.fetchone()[0])
-            if isinstance(query, ConjunctiveQuery):
-                return exists
-            # Variable-free aggregate body: the bag is empty or holds the
-            # single constant row.
-            if not exists:
-                return False
-            return self._aggregate_over(query, [{}])
-        rows = cursor.fetchall()
-        if not rows:
-            return False
-        assignments = [dict(zip(compiled.var_order, row)) for row in rows]
-        return self._aggregate_over(query, assignments)
-
-    # ------------------------------------------------------------------
-    # Batched evaluation (the BatchedEngine hook)
-
-    def _compiled_worlds_query(
-        self, query: ConjunctiveQuery | AggregateQuery
-    ) -> CompiledQuery:
-        _, workspace = self._require()
-        key = f"worlds:{type(query).__name__}:{query}"
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            compiled = compile_query_worlds(query, workspace.base.schema)
-            self._compiled[key] = compiled
-        return compiled
+        """Answer one world: the world-correlated statement over a
+        batch of one."""
+        return self.evaluate_many(query, (active,))[0]
 
     def evaluate_many(
         self,
@@ -253,29 +198,24 @@ class SqliteBackend:
     ) -> list[bool]:
         """Answer a whole batch of worlds in one SQL round trip.
 
-        Instead of N× ``set_active`` flip/evaluate cycles, the batch's
-        active-sets are bound as ``VALUES`` CTEs and the
-        world-correlated compilation (:func:`compile_query_worlds`)
-        answers every world at once.  The ``_current`` column — and
-        :attr:`_active` — are left untouched.  Batches whose host
-        parameters would exceed sqlite's limit are split transparently.
+        The batch's active-sets are bound as ``VALUES`` CTEs and the
+        query's world-correlated statement answers every world at once.
+        Batches with more members than :data:`_PARAM_BUDGET` are split
+        into several round trips.
         """
         actives = list(actives)
         if not actives:
             return []
-        self._require()
-        compiled = self._compiled_worlds_query(query)
+        compiled = self._compiled_query(query)
         results = [False] * len(actives)
-        base_cost = len(compiled.params)
         start = 0
         while start < len(actives):
             end = start + 1
-            budget = base_cost + 2 * len(actives[start]) + 1
+            budget = len(actives[start])
             while end < len(actives):
-                cost = 2 * len(actives[end]) + 1
-                if budget + cost > _PARAM_BUDGET:
+                budget += len(actives[end])
+                if budget > _PARAM_BUDGET:
                     break
-                budget += cost
                 end += 1
             self._evaluate_world_chunk(query, compiled, actives, start, end, results)
             start = end
@@ -291,31 +231,7 @@ class SqliteBackend:
         results: list[bool],
     ) -> None:
         conn, _ = self._require()
-        member_params: list = []
-        for world_id in range(start, end):
-            for tx_id in sorted(actives[world_id]):
-                member_params.extend((world_id, tx_id))
-        if member_params:
-            worlds_rows = ", ".join(
-                "(?, ?)" for _ in range(len(member_params) // 2)
-            )
-            worlds_cte = (
-                f"{quote_identifier(WORLDS_CTE)}(world_id, tx) "
-                f"AS (VALUES {worlds_rows})"
-            )
-        else:
-            # VALUES cannot be empty; bind a zero-row relation instead.
-            worlds_cte = (
-                f"{quote_identifier(WORLDS_CTE)}(world_id, tx) "
-                f"AS (SELECT -1, '' WHERE 0)"
-            )
-        id_rows = list(range(start, end))
-        ids_cte = (
-            f"{quote_identifier(WORLD_IDS_CTE)}(world_id) "
-            f"AS (VALUES {', '.join('(?)' for _ in id_rows)})"
-        )
-        sql = f"WITH {worlds_cte}, {ids_cte} {compiled.sql}"
-        params = [*member_params, *id_rows, *compiled.params]
+        sql, params = bind_worlds(compiled, actives[start:end], first_id=start)
         self.eval_roundtrips += 1
         cursor = conn.execute(sql, params)
         if compiled.kind == "exists":

@@ -1,44 +1,28 @@
-"""Engine resolution and hot-loop metric binding."""
+"""Engine configuration and hot-loop metric binding."""
 
 import pytest
 
 from repro.core import engine as engine_mod
-from repro.core.engine import (
-    ENGINES,
-    _bound_counter,
-    resolve_engine_name,
-)
+from repro.core.engine import SyncEngine, _bound_counter
 from repro.errors import AlgorithmError
+from repro.storage import MemoryBackend, SqliteBackend
 
 
-class TestResolveEngineName:
-    def test_explicit_names(self):
-        for name in ENGINES:
-            assert resolve_engine_name(name) == name
+class TestSyncEngineConfig:
+    def test_chunked_path_follows_the_backend_declaration(self):
+        assert not SyncEngine(MemoryBackend()).multi_world
+        assert SyncEngine(SqliteBackend()).multi_world
 
-    def test_default_is_sync(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine_name(None) == "sync"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert resolve_engine_name(None) == "batched"
-
-    def test_typo_fails_at_resolution(self, monkeypatch):
-        # The bug: a typo used to survive resolution and explode deep
-        # inside as_engine — possibly on a worker process.
-        monkeypatch.setenv("REPRO_ENGINE", "bacthed")
-        with pytest.raises(AlgorithmError, match="bacthed"):
-            resolve_engine_name(None)
-        with pytest.raises(AlgorithmError, match="sync"):
-            resolve_engine_name("turbo")
+    def test_batch_size_must_be_positive(self):
+        with pytest.raises(AlgorithmError, match="batch_size"):
+            SyncEngine(SqliteBackend(), batch_size=0)
 
 
 class TestCounterCache:
     def test_charging_twice_hits_the_same_counter(self):
         first = _bound_counter("sync")
         assert _bound_counter("sync") is first
-        # Distinct engines get distinct label bindings.
+        # Distinct label values get distinct bindings.
         assert _bound_counter("batched") is not first
 
     def test_cache_tracks_registry_identity(self, monkeypatch):

@@ -1,19 +1,22 @@
-"""Evaluation-engine parity: sync, batched and async are one solver.
+"""Backend parity: the one evaluation engine is one solver everywhere.
 
-The engine layer's contract (see :mod:`repro.core.engine`) is that the
-*how* of world evaluation never leaks into the *what*: every engine
-must return the same verdict, the same witness, and the same work
-counters (``worlds_checked`` / ``evaluations`` / ``cliques_enumerated``
-— charged only up to and including the first violating world) on the
-same evaluation plan.  These tests drive all three engines over both
-storage backends on randomized databases, randomized monitor traces
-(verdicts *and* invalidation lists), the Proposition-2 divergence
-instance, and the aggregate paths, asserting byte-for-byte identical
-results everywhere.  ``DCSatStats.engine`` is the one field allowed —
-required, even — to differ.
+:class:`~repro.core.engine.SyncEngine` drives a backend one of two
+ways: one ``evaluate`` per world (memory), or chunks of worlds through
+``evaluate_many`` answered by one world-correlated SQL statement each
+(sqlite).  The *how* must never leak into the *what*: over either
+backend the engine must return the same verdict, the same witness, and
+the same work counters (``worlds_checked`` / ``evaluations`` /
+``cliques_enumerated`` — charged only up to and including the first
+violating world) as a reference.
+
+The reference is a plain one-world-at-a-time loop over the memory
+backend (:class:`ReferenceEngine`, a test oracle with the counters
+charged by hand).  These tests compare the engine over each backend
+with it on randomized databases, randomized monitor traces (verdicts
+*and* invalidation lists), the Proposition-2 divergence instance, and
+the aggregate paths, asserting byte-for-byte identical results.
 """
 
-import asyncio
 import random
 from dataclasses import fields
 
@@ -22,7 +25,7 @@ import pytest
 from repro import serialize
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
-from repro.core.engine import ENGINES
+from repro.core.engine import SyncEngine
 from repro.core.monitor import ConstraintMonitor
 from repro.core.results import DCSatStats
 from repro.relational.constraints import ConstraintSet, FunctionalDependency
@@ -36,7 +39,7 @@ from tests.service.conftest import Q_ABSENT, Q_CONFLICT, Q_TWO_A, component_db, 
 
 BACKENDS = ("memory", "sqlite")
 
-#: Everything engines must agree on.  ``engine`` identifies the engine
+#: Everything the backends must agree on.  ``engine`` labels the engine
 #: (excluded by design); ``elapsed_seconds`` is wall clock.
 PARITY_FIELDS = tuple(
     field.name
@@ -48,18 +51,45 @@ CONJUNCTIVE_QUERIES = (Q_CONFLICT, Q_TWO_A, Q_ABSENT)
 
 
 def db_copy(db: BlockchainDatabase) -> BlockchainDatabase:
-    """An independent database per engine: checkers mutate state."""
+    """An independent database per checker: checkers mutate state."""
     return serialize.database_from_dict(serialize.database_to_dict(db))
 
 
+class ReferenceEngine(SyncEngine):
+    """The oracle: one backend evaluation per world, no look-ahead."""
+
+    def sweep(self, query, worlds, stats=None, count_cliques=False):
+        for world in worlds:
+            if stats is not None:
+                stats.engine = stats.engine or self.name
+                stats.worlds_checked += 1
+                stats.evaluations += 1
+                if count_cliques:
+                    stats.cliques_enumerated += 1
+            if self.backend.evaluate(query, world):
+                return world
+        return None
+
+
 def checker_for(
-    db: BlockchainDatabase, engine: str, backend: str, **kwargs
+    db: BlockchainDatabase, backend: str, batch_size: int | None = None, **kwargs
 ) -> DCSatChecker:
-    return DCSatChecker(db_copy(db), backend=backend, engine=engine, **kwargs)
+    """The engine under test over *backend*."""
+    checker = DCSatChecker(db_copy(db), backend=backend, **kwargs)
+    if batch_size is not None:
+        checker.engine = SyncEngine(checker.backend, batch_size=batch_size)
+    return checker
+
+
+def reference_for(db: BlockchainDatabase, **kwargs) -> DCSatChecker:
+    """The oracle checker: :class:`ReferenceEngine` over memory."""
+    checker = DCSatChecker(db_copy(db), backend="memory", **kwargs)
+    checker.engine = ReferenceEngine(checker.backend)
+    return checker
 
 
 def parity_view(result) -> tuple:
-    """The cross-engine-comparable projection of a check result."""
+    """The cross-backend-comparable projection of a check result."""
     stats = {name: getattr(result.stats, name) for name in PARITY_FIELDS}
     return (result.satisfied, result.witness, stats)
 
@@ -99,101 +129,96 @@ def random_db(rng: random.Random) -> BlockchainDatabase:
     return BlockchainDatabase(current, constraints, pending)
 
 
+CHECK_ALGORITHMS = ("auto", "naive", "opt", "brute")
+
+
+def check_cases(rng: random.Random) -> list[tuple[str, str]]:
+    cases = [
+        (query, algorithm)
+        for query in CONJUNCTIVE_QUERIES
+        for algorithm in CHECK_ALGORITHMS
+    ]
+    cases.append((f"[q(sum(a)) <- Amt(c, a)] >= {rng.randrange(3, 9)}", "auto"))
+    return cases
+
+
+def assert_checks_agree(checker, reference, cases, label) -> None:
+    for query, algorithm in cases:
+        actual = parity_view(checker.check(query, algorithm=algorithm))
+        expected = parity_view(reference.check(query, algorithm=algorithm))
+        assert actual == expected, (query, algorithm, label)
+
+
 class TestRandomizedCheckParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(4))
     def test_all_engines_agree_on_random_instances(self, backend, seed):
         rng = random.Random(seed)
         db = random_db(rng)
-        checkers = {
-            engine: checker_for(db, engine, backend, assume_nonnegative_sums=True)
-            for engine in ENGINES
-        }
+        checker = checker_for(db, backend, assume_nonnegative_sums=True)
+        reference = reference_for(db, assume_nonnegative_sums=True)
         try:
-            cases = [
-                (query, algorithm)
-                for query in CONJUNCTIVE_QUERIES
-                for algorithm in ("auto", "naive", "opt", "brute")
-            ]
-            cases.append((f"[q(sum(a)) <- Amt(c, a)] >= {rng.randrange(3, 9)}", "auto"))
-            for query, algorithm in cases:
-                views = {
-                    engine: parity_view(
-                        checker.check(query, algorithm=algorithm)
-                    )
-                    for engine, checker in checkers.items()
-                }
-                reference = views["sync"]
-                for engine, view in views.items():
-                    assert view == reference, (query, algorithm, engine)
+            assert_checks_agree(checker, reference, check_cases(rng), backend)
         finally:
-            for checker in checkers.values():
-                checker.close()
+            checker.close()
+            reference.close()
+
+    @pytest.mark.parametrize("batch_size", (1, 2, 3))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunk_size_is_invisible_on_sqlite(self, batch_size, seed):
+        """Chunk boundaries may fall before, on or after the violating
+        world: the counters must not see where."""
+        rng = random.Random(seed)
+        db = random_db(rng)
+        checker = checker_for(
+            db, "sqlite", batch_size=batch_size, assume_nonnegative_sums=True
+        )
+        reference = reference_for(db, assume_nonnegative_sums=True)
+        try:
+            assert_checks_agree(
+                checker, reference, check_cases(rng), batch_size
+            )
+        finally:
+            checker.close()
+            reference.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_field_identifies_the_engine(self, backend):
-        db = component_db(components=2, keys=1)
-        for engine in ENGINES:
-            checker = checker_for(db, engine, backend)
-            try:
-                result = checker.check(Q_CONFLICT, algorithm="naive")
-                assert result.stats.engine == engine
-            finally:
-                checker.close()
-
-
-class TestAsyncSurfaceParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_check_async_matches_check(self, backend):
-        db = component_db(components=2, keys=2)
-        for engine in ENGINES:
-            sync_side = checker_for(db, engine, backend)
-            async_side = checker_for(db, engine, backend)
-            try:
-                for query in CONJUNCTIVE_QUERIES:
-                    for algorithm in ("auto", "naive", "opt", "brute"):
-                        expected = parity_view(
-                            sync_side.check(query, algorithm=algorithm)
-                        )
-                        actual = parity_view(
-                            asyncio.run(
-                                async_side.check_async(
-                                    query, algorithm=algorithm
-                                )
-                            )
-                        )
-                        assert actual == expected, (query, algorithm, engine)
-            finally:
-                sync_side.close()
-                async_side.close()
+        checker = checker_for(component_db(components=2, keys=1), backend)
+        try:
+            result = checker.check(Q_CONFLICT, algorithm="naive")
+            assert result.stats.engine == "sync"
+            assert checker.engine.multi_world == (backend == "sqlite")
+        finally:
+            checker.close()
 
 
 class TestPropositionTwoDivergenceParity:
-    """The documented OptDCSat false negative must be engine-invariant:
-    decoupling evaluation cannot change which worlds are *enumerated*."""
+    """The documented OptDCSat false negative must be backend-invariant:
+    how worlds are evaluated cannot change which worlds are
+    *enumerated*."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bridge_instance(self, backend, bridge_db):
-        for engine in ENGINES:
-            checker = checker_for(bridge_db, engine, backend)
-            try:
-                opt = checker.check(
-                    BRIDGE_QUERY, algorithm="opt", short_circuit=False
-                )
-                assert opt.satisfied  # the documented divergence
-                naive = checker.check(BRIDGE_QUERY, algorithm="naive")
-                assert not naive.satisfied
-                assert naive.witness == frozenset({"TA", "TC"})
-            finally:
-                checker.close()
+        checker = checker_for(bridge_db, backend)
+        try:
+            opt = checker.check(BRIDGE_QUERY, algorithm="opt", short_circuit=False)
+            assert opt.satisfied  # the documented divergence
+            naive = checker.check(BRIDGE_QUERY, algorithm="naive")
+            assert not naive.satisfied
+            assert naive.witness == frozenset({"TA", "TC"})
+        finally:
+            checker.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bridge_stats_identical_across_engines(self, backend, bridge_db):
         views = {}
-        for engine in ENGINES:
-            checker = checker_for(bridge_db, engine, backend)
+        for label, checker in (
+            ("engine", checker_for(bridge_db, backend)),
+            ("reference", reference_for(bridge_db)),
+        ):
             try:
-                views[engine] = (
+                views[label] = (
                     parity_view(
                         checker.check(
                             BRIDGE_QUERY, algorithm="opt", short_circuit=False
@@ -203,22 +228,22 @@ class TestPropositionTwoDivergenceParity:
                 )
             finally:
                 checker.close()
-        assert views["batched"] == views["sync"]
-        assert views["async"] == views["sync"]
+        assert views["engine"] == views["reference"]
 
 
 class TestRandomizedTraceParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(3))
     def test_monitor_traces_agree(self, backend, seed):
-        """One random issue/commit/forget trace, three monitors: every
-        step must produce identical invalidation lists and identical
-        verdicts for every registered constraint."""
+        """One random issue/commit/forget trace, two monitors (the
+        engine over *backend*, the reference): every step must produce
+        identical invalidation lists and identical verdicts for every
+        registered constraint."""
         rng = random.Random(100 + seed)
         base = component_db(components=2, keys=2)
         monitors = {
-            engine: ConstraintMonitor(checker_for(base, engine, backend))
-            for engine in ENGINES
+            "engine": ConstraintMonitor(checker_for(base, backend)),
+            "reference": ConstraintMonitor(reference_for(base)),
         }
         try:
             for name, query in (
@@ -230,24 +255,20 @@ class TestRandomizedTraceParity:
                     monitor.register(name, query)
 
             def assert_monitors_agree(step):
-                reference = None
-                for engine, monitor in monitors.items():
-                    verdicts = {
+                verdicts = {
+                    label: {
                         name: parity_view(result)
                         for name, result in monitor.status_all().items()
                     }
-                    if reference is None:
-                        reference = verdicts
-                    else:
-                        assert verdicts == reference, (step, engine)
+                    for label, monitor in monitors.items()
+                }
+                assert verdicts["engine"] == verdicts["reference"], step
 
             assert_monitors_agree("initial")
             issued = 0
             for step in range(8):
                 action = rng.choice(("issue", "issue", "commit", "forget"))
-                pending = sorted(
-                    next(iter(monitors.values())).checker.db.pending_ids
-                )
+                pending = sorted(monitors["reference"].checker.db.pending_ids)
                 if action == "issue" or not pending:
                     tx = r_tx(
                         f"T{issued}", rng.randrange(2), rng.randrange(2),
@@ -255,18 +276,18 @@ class TestRandomizedTraceParity:
                     )
                     issued += 1
                     invalidated = {
-                        engine: sorted(monitor.issue(tx))
-                        for engine, monitor in monitors.items()
+                        label: sorted(monitor.issue(tx))
+                        for label, monitor in monitors.items()
                     }
                 else:
                     tx_id = rng.choice(pending)
                     invalidated = {
-                        engine: sorted(getattr(monitor, action)(tx_id))
-                        for engine, monitor in monitors.items()
+                        label: sorted(getattr(monitor, action)(tx_id))
+                        for label, monitor in monitors.items()
                     }
-                reference = invalidated["sync"]
-                for engine, names in invalidated.items():
-                    assert names == reference, (step, action, engine)
+                assert invalidated["engine"] == invalidated["reference"], (
+                    step, action,
+                )
                 assert_monitors_agree((step, action))
         finally:
             for monitor in monitors.values():
@@ -276,7 +297,7 @@ class TestRandomizedTraceParity:
 class TestPlannerParity:
     """The bitset planner must be invisible in every observable:
     byte-identical evaluation plans (same worlds, same order) and
-    byte-identical check results across engines × backends."""
+    byte-identical check results over both backends."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evaluation_plan_streams_are_identical(self, seed):
@@ -299,26 +320,25 @@ class TestPlannerParity:
         rng = random.Random(seed)
         db = random_db(rng)
         checkers = {
-            (engine, planner): checker_for(
-                db, engine, backend,
-                assume_nonnegative_sums=True, planner=planner,
+            planner: checker_for(
+                db, backend, assume_nonnegative_sums=True, planner=planner
             )
-            for engine in ENGINES
             for planner in ("set", "bitset")
         }
+        reference = reference_for(db, assume_nonnegative_sums=True, planner="set")
         try:
             for query in CONJUNCTIVE_QUERIES:
                 for algorithm in ("naive", "opt", "auto"):
-                    views = {
-                        key: parity_view(checker.check(query, algorithm=algorithm))
-                        for key, checker in checkers.items()
-                    }
-                    reference = views[("sync", "set")]
-                    for key, view in views.items():
-                        assert view == reference, (query, algorithm, key)
+                    expected = parity_view(
+                        reference.check(query, algorithm=algorithm)
+                    )
+                    for planner, checker in checkers.items():
+                        view = parity_view(checker.check(query, algorithm=algorithm))
+                        assert view == expected, (query, algorithm, planner)
         finally:
             for checker in checkers.values():
                 checker.close()
+            reference.close()
 
     def test_checker_exposes_planner_name(self):
         db = component_db(components=1, keys=1)

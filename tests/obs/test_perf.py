@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checker import DCSatChecker
+from repro.core.engine import SyncEngine
 from repro.obs.perf import (
     CostModel,
     bucket_label,
@@ -184,7 +185,7 @@ class TestPlanGroups:
         for size in (2, 16, 64):
             pool.cost_model.observe(
                 size / 10.0, size,
-                engine=pool._engine_name, planner=pool._planner_name,
+                engine=SyncEngine.name, planner=pool._planner_name,
             )
         # One giant (64) and six tiny (2) components: round-robin would
         # stripe two tinies alongside the giant; cost packing isolates it.
@@ -203,7 +204,7 @@ class TestPlanGroups:
         for size in (2, 8, 32):
             pool.cost_model.observe(
                 size / 10.0, size,
-                engine=pool._engine_name, planner=pool._planner_name,
+                engine=SyncEngine.name, planner=pool._planner_name,
             )
         groups, _, _ = pool.plan_groups(self.survivors([32, 2, 8, 2, 32, 8]))
         for group in groups:
@@ -211,7 +212,7 @@ class TestPlanGroups:
 
     def test_forced_strategy_overrides_the_model(self, pool):
         pool.cost_model.observe(
-            1.0, 4, engine=pool._engine_name, planner=pool._planner_name
+            1.0, 4, engine=SyncEngine.name, planner=pool._planner_name
         )
         groups, strategy, _ = pool.plan_groups(
             self.survivors([4] * 6), strategy="round-robin"

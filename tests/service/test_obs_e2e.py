@@ -260,46 +260,6 @@ class TestEngineObservability:
                 server.http_host, server.http_port, "/metrics"
             )
         assert status == 200
-        # The engines' world counter lives in the process-wide default
+        # The engine's world counter lives in the process-wide default
         # registry; the server folds it into the same scrape.
         assert 'repro_worlds_evaluated_total{engine="sync"}' in body
-
-
-class TestAsyncEngineDispatch:
-    """With a coroutine-native engine, status solves run on the event
-    loop itself (``mode=async`` spans) and still verdict-match."""
-
-    @pytest.fixture(scope="class")
-    def server(self):
-        from repro.core.checker import DCSatChecker
-
-        checker = DCSatChecker(
-            component_db(components=2, keys=2), engine="async"
-        )
-        monitor = ConstraintMonitor(checker)
-        service = ConstraintService(monitor, metrics=MetricsRegistry())
-        handle = serve_in_thread(service, http_port=0)
-        yield handle
-        handle.stop()
-        checker.close()
-
-    def test_status_solves_on_the_loop(self, server):
-        with ServiceClient(server.host, server.port) as client:
-            client.register("conflict", Q_CONFLICT)
-            verdict = client.status("conflict")
-            assert verdict["satisfied"] is True
-            trace = fetch_trace(server, client.last_trace_id)
-        spans = {span["name"]: span for span in trace["spans"]}
-        assert spans["solve"]["attributes"]["mode"] == "async"
-        assert spans["monitor.status"]["attributes"]["mode"] == "async"
-        assert spans["dcsat.check"]["attributes"]["mode"] == "async"
-
-    def test_mutations_still_use_the_solver_thread(self, server):
-        with ServiceClient(server.host, server.port) as client:
-            client.register("two-a", Q_TWO_A)
-            assert client.status("two-a")["satisfied"] is False
-            invalidated = client.issue(r_tx("fresh-async", 0, 0, "c"))
-            assert "two-a" in invalidated
-            # The re-check after invalidation goes through the async
-            # path again and still answers.
-            assert client.status("two-a")["satisfied"] is False

@@ -13,7 +13,6 @@ import pytest
 
 from repro import serialize
 from repro.core.checker import DCSatChecker
-from repro.core.engine import resolve_engine_name
 from repro.core.monitor import ConstraintMonitor
 from repro.core.opt import component_survivors
 from repro.errors import AlgorithmError
@@ -325,8 +324,8 @@ class TestEarlyStop:
         monkeypatch.setattr(pool_module, "_WORKER_CTX", None)
         monkeypatch.setattr(pool_module, "_STOP_WORD", None)
         pool_module._init_worker(
-            serialize.database_to_dict(db), resolve_backend_name(None),
-            resolve_engine_name(None), 0, stop,
+            serialize.database_to_dict(db), resolve_backend_name(None), 0,
+            stop,
         )
         sync = (0, 0, (), None)
 

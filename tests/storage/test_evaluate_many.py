@@ -5,14 +5,19 @@ The contract: ``evaluate_many(query, actives)`` returns exactly
 world, in order — regardless of how the backend amortizes the work.
 The memory backend loops (world switches are O(1) there); the sqlite
 backend compiles a world-correlated query once and answers each chunk
-of worlds in a single SQL round trip, without touching the ``_active``
-flags its single-world path maintains.
+of worlds in a single SQL round trip.  Its single-world ``evaluate``
+is the same statement over a batch of one, so neither path writes to
+the database.
 """
 
 import pytest
 
+from repro.core.blockchain_db import BlockchainDatabase
+from repro.core.engine import SyncEngine
 from repro.core.workspace import Workspace
 from repro.query.parser import parse_query
+from repro.relational.constraints import ConstraintSet, Key
+from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
 from repro.storage import MemoryBackend, SqliteBackend
 
@@ -82,8 +87,8 @@ def test_sqlite_batch_is_one_round_trip(sqlite_backend):
 
 def test_sqlite_evaluate_many_leaves_active_flags_alone(sqlite_backend):
     query = parse_query("q() <- TxOut(t, s, 'U8Pk', a)")
-    # Pin the single-world path's flag state, batch, then check that the
-    # next single-world call still answers from a consistent diff.
+    # Interleave single-world calls and a batch: no call may leave state
+    # behind that a later one answers from.
     assert sqlite_backend.evaluate(query, frozenset({"T1", "T2", "T3", "T4"}))
     sqlite_backend.evaluate_many(query, WORLDS)
     assert not sqlite_backend.evaluate(query, frozenset({"T5"}))
@@ -129,13 +134,103 @@ def test_sqlite_evaluate_many_sees_issue_and_commit(workspace, sqlite_backend):
     assert sqlite_backend.evaluate_many(query, [frozenset()]) == [True]
 
 
-def test_flip_uses_one_statement_per_relation(sqlite_backend):
-    """A world switch activating K transactions issues one batched
-    UPDATE per relation (executemany), not K separate statements."""
+def test_sqlite_evaluation_writes_nothing(sqlite_backend):
+    """World switches are derived inside the statement: evaluating any
+    world, alone or in a batch, changes no row of the database."""
     query = parse_query("q() <- TxOut(t, s, 'U8Pk', a)")
-    sqlite_backend.evaluate(query, frozenset())
-    before = sqlite_backend.flip_statements
-    # From {} to a 4-transaction world: one _flip of 4 ids.
-    sqlite_backend.evaluate(query, frozenset({"T1", "T2", "T3", "T4"}))
-    relations = len(sqlite_backend._workspace.base.relation_names)
-    assert sqlite_backend.flip_statements == before + relations
+    conn = sqlite_backend._conn
+    before = conn.total_changes
+    for world in WORLDS:
+        sqlite_backend.evaluate(query, world)
+    sqlite_backend.evaluate_many(query, WORLDS)
+    assert conn.total_changes == before
+
+
+# ----------------------------------------------------------------------
+# Worlds larger than the host-parameter budget
+
+
+def _wide_db(pending: int):
+    """*pending* transactions, each adding one ``A`` row and sharing no
+    key, so every subset is a possible world."""
+    schema = make_schema({"A": ["id", "grp"]})
+    constraints = ConstraintSet(schema, [Key("A", ["id"], schema)])
+    state = Database.from_dict(schema, {"A": [(-1, "base")]})
+    txs = [
+        Transaction({"A": [(index, f"g{index % 7}")]}, tx_id=f"W{index:04d}")
+        for index in range(pending)
+    ]
+    return BlockchainDatabase(state, constraints, txs)
+
+
+@pytest.fixture
+def wide():
+    import repro.storage.sqlite_backend as mod
+
+    pending = max(500, mod._PARAM_BUDGET + 100)
+    workspace = Workspace(_wide_db(pending))
+    memory = MemoryBackend()
+    memory.attach(workspace)
+    sqlite = SqliteBackend()
+    sqlite.attach(workspace)
+    ids = sorted(workspace.db.pending_ids)
+    yield workspace, memory, sqlite, ids, mod._PARAM_BUDGET
+    sqlite.close()
+
+
+WIDE_QUERIES = [
+    "q() <- A(x, 'g3'), A(y, 'g3'), A(z, 'g3'), x < y, y < z",
+    "[q(count()) <- A(x, g)] >= 420",
+    "[q(cntd(g)) <- A(x, g)] >= 8",
+    "q() <- A(x, 'base'), not A(7, 'g0')",
+]
+
+
+def test_sqlite_world_over_param_budget_matches_memory(wide):
+    workspace, memory, sqlite, ids, budget = wide
+    everything = frozenset(ids)
+    assert len(everything) > budget  # one world alone overflows a chunk
+    worlds = [everything, frozenset(ids[:5])]
+    for text in WIDE_QUERIES:
+        query = parse_query(text)
+        expected = [memory.evaluate(query, world) for world in worlds]
+        assert sqlite.evaluate(query, everything) == expected[0], text
+        assert sqlite.evaluate_many(query, worlds) == expected, text
+
+
+def test_sqlite_batch_straddling_a_chunk_split_matches_memory(wide):
+    workspace, memory, sqlite, ids, budget = wide
+    # Two large worlds that each fit the budget but not together, around
+    # small ones: the split lands mid-batch, and world ids must stay
+    # aligned across it.
+    half = frozenset(ids[: budget // 2 + 10])
+    other = frozenset(ids[-(budget // 2 + 10):])
+    worlds = [frozenset(ids[:3]), half, frozenset(), other, frozenset(ids[7:9])]
+    for text in WIDE_QUERIES:
+        query = parse_query(text)
+        expected = [memory.evaluate(query, world) for world in worlds]
+        before = sqlite.eval_roundtrips
+        assert sqlite.evaluate_many(query, worlds) == expected, text
+        assert sqlite.eval_roundtrips - before == 2, text
+
+
+def test_engine_sweep_stops_without_enumerating_past_a_full_chunk(wide):
+    workspace, memory, sqlite, ids, budget = wide
+    engine = SyncEngine(sqlite)
+    query = parse_query(WIDE_QUERIES[0])  # three 'g3' members in one world
+    big = frozenset(ids[: budget + 10])
+    plan = [frozenset(ids[:2]), frozenset(ids[2:4]), big, frozenset(ids[:1])]
+    pulled = []
+
+    def stream():
+        for world in plan:
+            pulled.append(world)
+            yield world
+
+    before = sqlite.eval_roundtrips
+    assert engine.sweep(query, stream()) == big
+    # The two small worlds share a round trip; the big one goes alone
+    # and, having filled its chunk, is evaluated before the plan's next
+    # world is enumerated.
+    assert sqlite.eval_roundtrips - before == 2
+    assert pulled == plan[:3]

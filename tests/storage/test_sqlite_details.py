@@ -1,4 +1,4 @@
-"""SQLite backend internals: DDL, type affinity, flag bookkeeping."""
+"""SQLite backend internals: DDL, type affinity, provenance bookkeeping."""
 
 import pytest
 
@@ -59,7 +59,7 @@ class TestTypes:
         assert columns["ratio"] == "REAL"
         assert columns["flag"] == "INTEGER"
         assert columns["_tx"] == "TEXT"
-        assert columns["_current"] == "INTEGER"
+        assert "_current" not in columns  # worlds are derived, not flagged
 
     def test_typed_values_round_trip(self, backend):
         sqlite_backend, _ = backend
@@ -77,20 +77,22 @@ class TestTypes:
 
 class TestFlags:
     def test_current_counts_after_switches(self, backend):
+        """Switching worlds touches no row: the committed/pending row
+        counts stay put while each world still sees its own tuples."""
         sqlite_backend, _ = backend
         conn = sqlite_backend._conn
 
-        def current_count():
+        def counts():
             return conn.execute(
-                'SELECT COUNT(*) FROM "Mixed" WHERE _current = 1'
-            ).fetchone()[0]
+                "SELECT SUM(_tx = ''), SUM(_tx <> '') FROM \"Mixed\""
+            ).fetchone()
 
-        sqlite_backend.set_active(frozenset())
-        assert current_count() == 2  # committed rows only
-        sqlite_backend.set_active(frozenset({"M1"}))
-        assert current_count() == 3
-        sqlite_backend.set_active(frozenset())
-        assert current_count() == 2
+        gamma = parse_query("q() <- Mixed('gamma', c, r, f)")
+        assert counts() == (2, 1)
+        assert not sqlite_backend.evaluate(gamma, frozenset())
+        assert sqlite_backend.evaluate(gamma, frozenset({"M1"}))
+        assert not sqlite_backend.evaluate(gamma, frozenset())
+        assert counts() == (2, 1)
 
     def test_rows_carry_provenance(self, backend):
         sqlite_backend, _ = backend
@@ -107,18 +109,21 @@ class TestFlags:
         sqlite_backend.on_commit(tx)
         conn = sqlite_backend._conn
         rows = conn.execute(
-            'SELECT _tx, _current FROM "Mixed" WHERE "name" = ?', ("gamma",)
+            'SELECT _tx FROM "Mixed" WHERE "name" = ?', ("gamma",)
         ).fetchall()
-        assert rows == [("", 1)]
+        assert rows == [("",)]
 
     def test_compiled_query_cache(self, backend):
+        """One compile cache serves both paths: a single world and a
+        batch of worlds run the same compiled statement."""
         sqlite_backend, _ = backend
         q = parse_query("q() <- Mixed(n, c, r, f)")
         sqlite_backend.evaluate(q, frozenset())
         key = f"{type(q).__name__}:{q}"
         first = sqlite_backend._compiled[key]
         sqlite_backend.evaluate(q, frozenset({"M1"}))
-        assert sqlite_backend._compiled[key] is first
+        sqlite_backend.evaluate_many(q, [frozenset(), frozenset({"M1"})])
+        assert sqlite_backend._compiled == {key: first}
 
     def test_cache_keys_are_structural_not_identity(self, backend):
         """Regression: id()-keyed caching handed recycled query objects a
