@@ -21,6 +21,10 @@ Round-trip counts are asserted exactly via the backend's
 ``eval_roundtrips`` counter; the wall-clock assertion runs at every
 scale (fewer round trips on the same connection is cheaper regardless
 of host).  The memory backend must agree on verdict and work counters.
+
+The artifact also carries the enumeration-only clique sweep over a
+larger component (``planner.clique_sweep``), so the gate covers
+Bron–Kerbosch on its own.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import time
 
 import pytest
 
-from repro.core.bitset import make_fd_graph
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
 from repro.core.engine import SyncEngine
+from repro.core.fd_graph import FdTransactionGraph
 from repro.core.workspace import Workspace
 from repro.relational.constraints import ConstraintSet, FunctionalDependency
 from repro.relational.database import Database, make_schema
@@ -52,14 +56,8 @@ def _env_int(name: str, default: int) -> int:
 CLIQUE_K = _env_int("REPRO_BENCH_CLIQUE_K", 96)
 #: Wall-clock comparison repetitions (medians are reported).
 ROUNDS = _env_int("REPRO_BENCH_ENGINE_ROUNDS", 3)
-#: Component size for the planner (enumeration-only) comparison — the
-#: set planner rebuilds its clique subgraph quadratically per sweep,
-#: so the gap widens with K.
+#: Component size for the enumeration-only clique sweep row.
 PLANNER_K = _env_int("REPRO_BENCH_PLANNER_K", 384)
-#: Required bitset-over-set speedup on the repeated clique sweep.
-PLANNER_MIN_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_BITSET_MIN_SPEEDUP", "5")
-)
 
 #: No singleton world holds two values; the pending superset does —
 #: the short-circuit stays undecided and the full K-world sweep runs.
@@ -162,17 +160,15 @@ def test_backends_verdict_and_stats_identical():
 
 
 # ----------------------------------------------------------------------
-# Planner comparison: the clique-sweep hot path, enumeration only.
+# The clique-sweep hot path, enumeration only.
 #
 # A steady-state monitor re-sweeps its components check after check, so
-# the planner cost is the *repeated* maximal-clique enumeration over an
-# unchanged graph.  The set planner rebuilds its clique subgraph
-# (O(K²) pair scans) and runs Bron–Kerbosch over Python string sets on
-# every sweep; the bitset planner sweeps cached machine-word masks.
+# the cost that matters is the *repeated* maximal-clique enumeration
+# over an unchanged graph, served from the cached sweep universe.
 
 
-def planner_graph(planner: str):
-    return make_fd_graph(planner, Workspace(k_clique_db(PLANNER_K)))
+def clique_graph() -> FdTransactionGraph:
+    return FdTransactionGraph(Workspace(k_clique_db(PLANNER_K)))
 
 
 def sweep_median(
@@ -187,26 +183,6 @@ def sweep_median(
         assert swept == count
     samples.sort()
     return samples[len(samples) // 2], count, samples
-
-
-def test_planner_sweeps_are_identical():
-    set_graph = planner_graph("set")
-    bitset_graph = planner_graph("bitset")
-    assert list(bitset_graph.maximal_cliques()) == list(
-        set_graph.maximal_cliques()
-    )
-
-
-def test_bitset_planner_speedup_on_clique_sweep():
-    set_median, count, _ = sweep_median(planner_graph("set"))
-    bitset_median, bitset_count, _ = sweep_median(planner_graph("bitset"))
-    assert count == bitset_count == PLANNER_K
-    speedup = set_median / bitset_median
-    assert speedup >= PLANNER_MIN_SPEEDUP, (
-        f"bitset sweep {bitset_median * 1000:.2f}ms vs set "
-        f"{set_median * 1000:.2f}ms over a {PLANNER_K}-clique component: "
-        f"{speedup:.1f}x < required {PLANNER_MIN_SPEEDUP}x"
-    )
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -232,7 +208,7 @@ def bench_json_artifact():
         engine=checker.engine.name,
         backend="sqlite",
         algorithm="naive",
-        planner=checker.planner,
+        planner="set",
         clique_k=CLIQUE_K,
         rounds=ROUNDS,
         seconds=sorted(samples)[len(samples) // 2],
@@ -240,15 +216,16 @@ def bench_json_artifact():
         eval_roundtrips=checker.backend.eval_roundtrips - before,
         gate=True,
     )
-    for planner in ("set", "bitset"):
-        median, count, samples = sweep_median(planner_graph(planner))
-        record_bench(
-            "planner.clique_sweep",
-            planner=planner,
-            clique_k=PLANNER_K,
-            cliques=count,
-            rounds=max(ROUNDS, 3),
-            seconds=median,
-            samples=samples,
-            gate=True,
-        )
+    median, count, samples = sweep_median(clique_graph())
+    assert count == PLANNER_K
+    # ``planner="set"`` is part of the committed rows' identity.
+    record_bench(
+        "planner.clique_sweep",
+        planner="set",
+        clique_k=PLANNER_K,
+        cliques=count,
+        rounds=max(ROUNDS, 3),
+        seconds=median,
+        samples=samples,
+        gate=True,
+    )

@@ -29,7 +29,6 @@ import pytest
 
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
-from repro.core.engine import SyncEngine
 from repro.relational.constraints import ConstraintSet, FunctionalDependency
 from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
@@ -234,11 +233,7 @@ def test_warm_cost_model_groups_skew_tighter_than_round_robin():
         def predicted_loads(groups):
             return [
                 sum(
-                    model.predict(
-                        len(survivors[index]),
-                        engine=SyncEngine.name,
-                        planner=pool._planner_name,
-                    )
+                    model.predict(len(survivors[index]))
                     for index in group
                 )
                 for group in groups

@@ -23,7 +23,6 @@ import argparse
 import sys
 
 from repro import serialize
-from repro.core.bitset import PLANNERS
 from repro.core.checker import ALGORITHMS, DCSatChecker
 from repro.errors import ReproError
 from repro.obs.bench import add_bench_subcommands
@@ -83,7 +82,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         db,
         backend=args.backend,
         assume_nonnegative_sums=args.assume_nonnegative_sums,
-        planner=args.planner,
     )
     result = checker.check(
         args.query,
@@ -107,7 +105,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(explanation.render())
     print(
         f"  algorithm={stats.algorithm} engine={stats.engine or 'sync'} "
-        f"planner={checker.planner} "
         f"worlds={stats.worlds_checked} "
         f"cliques={stats.cliques_enumerated} "
         f"components={stats.components_total} "
@@ -360,7 +357,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         )
     finally:
         monitor.close()
-    print("repro-fabric stopped (fleet drained)", flush=True)
+    print("repro-fabric stopped (drained)", flush=True)
     return 0
 
 
@@ -404,12 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--backend", choices=["memory", "sqlite"], default=None,
         help="storage backend (default: $REPRO_BACKEND or memory)",
-    )
-    check.add_argument(
-        "--planner", choices=list(PLANNERS), default=None,
-        help="world-enumeration planner: set (Python sets) or bitset "
-        "(interned ids + machine-word masks; identical plans); "
-        "default: $REPRO_BITSET or set",
     )
     check.add_argument("--no-short-circuit", action="store_true")
     check.add_argument("--assume-nonnegative-sums", action="store_true")

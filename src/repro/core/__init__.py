@@ -14,13 +14,9 @@
 * :mod:`~repro.core.tractable` — the PTIME special cases of Theorems 1–2.
 * :mod:`~repro.core.contradiction` — deriving conflicting transactions
   (the paper's future-work item).
-* :mod:`~repro.core.bitset` — dense transaction interning and
-  machine-word clique sweeps (the ``planner="bitset"`` fast path,
-  plan-identical to the set-based enumeration).
 """
 
 from repro.core.advisor import Advice, IssuanceAdvisor
-from repro.core.bitset import BitsetFdGraph, TxInterner
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker, DCSatResult, DCSatStats
 from repro.core.explain import Explanation, explain_violation
@@ -35,8 +31,6 @@ from repro.core.possible_worlds import (
 __all__ = [
     "Advice",
     "IssuanceAdvisor",
-    "BitsetFdGraph",
-    "TxInterner",
     "BlockchainDatabase",
     "DCSatChecker",
     "DCSatResult",

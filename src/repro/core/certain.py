@@ -18,8 +18,8 @@ a world).  This module makes that observation executable:
 
 from __future__ import annotations
 
-from repro.core.bitset import make_fd_graph
 from repro.core.blockchain_db import BlockchainDatabase
+from repro.core.fd_graph import FdTransactionGraph
 from repro.core.possible_worlds import enumerate_possible_worlds
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
@@ -97,7 +97,7 @@ def possible_answers(
     if not is_monotone(query):
         raise AlgorithmError("possible_answers requires a monotone query")
     workspace = Workspace(db)
-    fd_graph = make_fd_graph(None, workspace)
+    fd_graph = FdTransactionGraph(workspace)
     answers: set[Answer] = set()
     for clique in fd_graph.maximal_cliques(pivot=pivot):
         world = workspace.ind_support.maximal_world(clique)

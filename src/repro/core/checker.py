@@ -28,7 +28,6 @@ from __future__ import annotations
 import time
 
 from repro.core.assignment import assignment_dcsat
-from repro.core.bitset import make_fd_graph, resolve_planner_name
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.brute import DEFAULT_PENDING_LIMIT, brute_dcsat
 from repro.core.engine import SyncEngine
@@ -63,18 +62,10 @@ class DCSatChecker:
         db: BlockchainDatabase,
         backend: str | Backend | None = None,
         assume_nonnegative_sums: bool = False,
-        planner: str | None = None,
     ):
         self.db = db
         self.workspace = Workspace(db)
-        # ``None`` defers to REPRO_BITSET (default: the set planner).
-        # Both planners emit byte-identical evaluation plans; the bitset
-        # one sweeps cliques over interned machine-word masks instead of
-        # Python sets (repro.core.bitset, docs/ENGINES.md).
-        self.planner: str = resolve_planner_name(planner)
-        self.fd_graph: FdTransactionGraph = make_fd_graph(
-            self.planner, self.workspace
-        )
+        self.fd_graph = FdTransactionGraph(self.workspace)
         self.ind_graph = IndQTransactionGraph(self.workspace)
         self.assume_nonnegative_sums = assume_nonnegative_sums
         #: Monotone state-change counter.  Bumped by every issue / commit

@@ -60,8 +60,8 @@ class _UnionFind:
         for item in self.parent:
             groups.setdefault(self.find(item), set()).add(item)
         # Deterministic component order (lowest member first): the
-        # evaluation-plan stream — and hence engine/planner parity —
-        # must not depend on hash randomization.
+        # evaluation-plan stream — and hence backend parity and the
+        # reported witness — must not depend on hash randomization.
         return sorted((frozenset(g) for g in groups.values()), key=min)
 
     def clone(self) -> "_UnionFind":

@@ -453,7 +453,6 @@ class ConstraintMonitor:
             resolved = sweep_components(
                 checker.workspace, checker.fd_graph, query, items,
                 checker.engine, default_cost_model(),
-                planner=getattr(checker, "planner", ""),
                 pivot=pivot, stats=stats,
             )
         best_index: int | None = None
@@ -481,13 +480,7 @@ class ConstraintMonitor:
         whole point of revalidation is that this series stays orders of
         magnitude below the sweep series for the same size bucket.
         """
-        default_cost_model().observe(
-            seconds,
-            size,
-            engine=self.checker.engine.name,
-            planner=getattr(self.checker, "planner", ""),
-            mode="revalidate",
-        )
+        default_cost_model().observe(seconds, size, mode="revalidate")
 
     def ledger_stats(self) -> dict:
         """The verdict ledger's counters (``/perfz`` and describe())."""

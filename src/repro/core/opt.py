@@ -68,14 +68,7 @@ def component_survivors(
             total += 1
             if stats is not None:
                 stats.components_total += 1
-            # The bitset planner answers the component ∩ nodes
-            # intersection through its interner masks (one AND sweep);
-            # the set planner intersects Python sets.
-            restrict = getattr(fd_graph, "restrict_appendable", None)
-            if restrict is not None:
-                candidates = restrict(component)
-            else:
-                candidates = component & fd_graph.nodes
+            candidates = component & fd_graph.nodes
             if not candidates:
                 pruned += 1
                 if stats is not None:
@@ -134,7 +127,6 @@ def sweep_components(
     items: list[tuple[int, set[str]]],
     engine: SyncEngine,
     cost_model: CostModel,
-    planner: str = "",
     pivot: bool = True,
     stats: DCSatStats | None = None,
 ) -> dict[int, frozenset[str] | None]:
@@ -160,8 +152,6 @@ def sweep_components(
         cost_model.observe(
             time.perf_counter() - started,
             len(candidates),
-            engine=engine.name,
-            planner=planner,
             cliques=stats.cliques_enumerated - cliques_before,
         )
         resolved[index] = witness

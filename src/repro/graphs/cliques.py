@@ -11,10 +11,9 @@ ablation benchmarks.
 Emission order is *canonical*: nodes are ranked by their sorted order,
 candidates are explored ascending, and pivot ties break toward the
 lowest rank.  The sequence of emitted cliques is therefore a pure
-function of the graph — independent of hash randomization — which is
-the contract that lets the bitset planner
-(:mod:`repro.core.bitset`) reproduce the exact same evaluation plans
-with machine-word masks.
+function of the graph — independent of hash randomization — so the
+evaluation plans (which worlds are checked, in which order) and the
+witness a check reports are deterministic across runs and processes.
 """
 
 from __future__ import annotations

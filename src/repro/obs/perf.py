@@ -4,12 +4,12 @@ Per-component solve timings (the per-solve
 :class:`~repro.core.results.DCSatStats` the solver pool and sequential
 paths already produce) feed a rolling :class:`CostModel`: exponentially
 weighted moving averages of solve cost, keyed by **component size
-bucket × engine × planner × mode** (``"sweep"`` for full clique sweeps,
-``"revalidate"`` for the verdict ledger's cheap probes).  The model
+bucket × mode** (``"sweep"`` for full clique sweeps, ``"revalidate"``
+for the verdict ledger's cheap probes).  The model
 answers two questions:
 
 * *Prediction* — :meth:`CostModel.predict` estimates how long a
-  component of a given size will take under a given engine/planner, so
+  component of a given size will take in a given mode, so
   :class:`~repro.service.pool.SolverPool` can bin-pack components into
   worker groups by predicted cost instead of striping them round-robin.
 * *Exposition* — every observation lands in the default metrics
@@ -66,11 +66,9 @@ def bucket_label(bucket: int) -> str:
 
 @dataclass
 class CostEstimate:
-    """The rolling state of one (size bucket, engine, planner, mode) key."""
+    """The rolling state of one (size bucket, mode) key."""
 
     bucket: int
-    engine: str
-    planner: str
     #: What kind of work was timed: ``"sweep"`` (a full per-component
     #: clique sweep) or ``"revalidate"`` (the verdict ledger's witness /
     #: short-circuit probe — docs/INCREMENTAL.md).  Kept as a separate
@@ -86,8 +84,6 @@ class CostEstimate:
     def to_dict(self) -> dict:
         return {
             "size_bucket": bucket_label(self.bucket),
-            "engine": self.engine,
-            "planner": self.planner,
             "mode": self.mode,
             "ewma_seconds": self.ewma_seconds,
             "ewma_size": self.ewma_size,
@@ -104,7 +100,7 @@ class CostModel:
     alpha: float = DEFAULT_ALPHA
     warm_after: int = DEFAULT_WARM_AFTER
     export_metrics: bool = True
-    _estimates: dict[tuple[int, str, str, str], CostEstimate] = field(
+    _estimates: dict[tuple[int, str], CostEstimate] = field(
         default_factory=dict, repr=False
     )
     _observations: int = field(default=0, repr=False)
@@ -116,13 +112,11 @@ class CostModel:
         self,
         seconds: float,
         size: int,
-        engine: str = "",
-        planner: str = "",
         cliques: int = 0,
         mode: str = "sweep",
     ) -> None:
         """Fold one per-component solve timing into the model."""
-        key = (size_bucket(size), engine, planner, mode)
+        key = (size_bucket(size), mode)
         with self._lock:
             estimate = self._estimates.get(key)
             if estimate is None:
@@ -148,12 +142,7 @@ class CostModel:
             registry.gauge(
                 "repro_cost_model_estimate_seconds",
                 "EWMA solve cost per component, by size bucket.",
-                labels={
-                    "bucket": bucket_label(key[0]),
-                    "engine": engine,
-                    "planner": planner,
-                    "mode": mode,
-                },
+                labels={"bucket": bucket_label(key[0]), "mode": mode},
             ).set(exported)
             registry.counter(
                 "repro_cost_model_observations_total",
@@ -164,7 +153,6 @@ class CostModel:
         self,
         stats,
         size: int,
-        planner: str = "",
         seconds: float | None = None,
     ) -> None:
         """Fold a :class:`~repro.core.results.DCSatStats` into the model.
@@ -175,8 +163,6 @@ class CostModel:
         self.observe(
             seconds if seconds is not None else stats.elapsed_seconds,
             size,
-            engine=stats.engine,
-            planner=planner,
             cliques=stats.cliques_enumerated,
         )
 
@@ -193,29 +179,25 @@ class CostModel:
         with self._lock:
             return self._observations >= self.warm_after
 
-    def predict(
-        self, size: int, engine: str = "", planner: str = "",
-        mode: str = "sweep",
-    ) -> float | None:
+    def predict(self, size: int, mode: str = "sweep") -> float | None:
         """Predicted solve seconds for a component of *size*, or ``None``
         when the model holds nothing usable.
 
-        An exact (bucket, engine, planner, mode) hit answers directly; a
-        miss falls back to the nearest observed bucket under the same
-        engine, planner and mode, scaled linearly by the size ratio — a
+        An exact (bucket, mode) hit answers directly; a miss falls back
+        to the nearest observed bucket under the same mode, scaled
+        linearly by the size ratio — a
         coarse extrapolation, but bin-packing only needs the relative
         order of component costs, not their absolute values.
         """
         bucket = size_bucket(size)
         with self._lock:
-            exact = self._estimates.get((bucket, engine, planner, mode))
+            exact = self._estimates.get((bucket, mode))
             if exact is not None and exact.samples > 0:
                 return exact.ewma_seconds
             candidates = [
                 estimate
-                for (b, e, p, m), estimate in self._estimates.items()
-                if e == engine and p == planner and m == mode
-                and estimate.samples > 0
+                for (_, m), estimate in self._estimates.items()
+                if m == mode and estimate.samples > 0
             ]
             if not candidates:
                 candidates = [
@@ -237,10 +219,7 @@ class CostModel:
         with self._lock:
             estimates = sorted(
                 (estimate.to_dict() for estimate in self._estimates.values()),
-                key=lambda row: (
-                    row["engine"], row["planner"], row["mode"],
-                    row["ewma_size"],
-                ),
+                key=lambda row: (row["mode"], row["ewma_size"]),
             )
             observations = self._observations
         return {

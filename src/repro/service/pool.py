@@ -66,7 +66,6 @@ from repro import serialize
 from repro.core.batch import batch_dcsat
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
-from repro.core.bitset import make_fd_graph
 from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.opt import component_survivors, solve_component, sweep_components
@@ -156,9 +155,7 @@ def _transaction_from_wire(payload: dict) -> Transaction:
 def _build_worker_ctx(db_payload: dict, backend_name: str, base_epoch: int) -> dict:
     db = serialize.database_from_dict(db_payload, validate=False)
     workspace = Workspace(db)
-    # Planner resolves from REPRO_BITSET, which forked workers inherit —
-    # the pool sweeps with the same planner as an inline checker would.
-    fd_graph = make_fd_graph(None, workspace)
+    fd_graph = FdTransactionGraph(workspace)
     backend = make_backend(backend_name)
     backend.attach(workspace)
     return {
@@ -385,7 +382,6 @@ class SolverPool:
         self.cost_model = (
             cost_model if cost_model is not None else default_cost_model()
         )
-        self._planner_name = getattr(checker, "planner", "")
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -593,11 +589,7 @@ class SolverPool:
             strategy = "cost" if self.cost_model.warm else "round-robin"
         if strategy == "cost":
             predictions = [
-                self.cost_model.predict(
-                    len(candidates),
-                    engine=SyncEngine.name,
-                    planner=self._planner_name,
-                )
+                self.cost_model.predict(len(candidates))
                 for candidates in survivors
             ]
             if any(prediction is None for prediction in predictions):
@@ -658,7 +650,6 @@ class SolverPool:
                 items,
                 self.checker.engine,
                 self.cost_model,
-                planner=self._planner_name,
                 pivot=pivot,
                 stats=stats,
             )
@@ -738,8 +729,6 @@ class SolverPool:
                             self.cost_model.observe(
                                 task_stats.elapsed_seconds,
                                 task_stats.max_component_size,
-                                engine=SyncEngine.name,
-                                planner=self._planner_name,
                                 cliques=task_stats.cliques_enumerated,
                             )
                             elapsed += task_stats.elapsed_seconds

@@ -6,8 +6,8 @@ receive the same stream of issue / commit / forget / absorb events over
 a schema mixing fd cliques, inclusion dependencies and co-written
 relations; after each event every constraint's verdict — and, under the
 default ``witness_mode="strict"``, its witness — must be identical, and
-each op's invalidation list must agree.  Parameterized over backends ×
-planners (the middle id names the one engine the stats report);
+each op's invalidation list must agree.  Parameterized over backends
+(the second id names the one engine the stats report);
 ``REPRO_CHURN_EVENTS`` scales the trace length
 (default 200, the acceptance floor).
 """
@@ -131,21 +131,16 @@ def assert_verdict_parity(incremental, mirror, event_index, strict=True):
 
 
 CONFIGURATIONS = [
-    ("memory", "sync", "set"),
-    ("memory", "sync", "bitset"),
-    ("sqlite", "sync", "set"),
-    ("sqlite", "sync", "bitset"),
+    ("memory", "sync"),
+    ("sqlite", "sync"),
 ]
 
 
-@pytest.mark.parametrize("backend,engine,planner", CONFIGURATIONS)
-def test_churn_parity(backend, engine, planner):
-    incremental = ConstraintMonitor(
-        DCSatChecker(churn_db(), backend=backend, planner=planner)
-    )
+@pytest.mark.parametrize("backend,engine", CONFIGURATIONS)
+def test_churn_parity(backend, engine):
+    incremental = ConstraintMonitor(DCSatChecker(churn_db(), backend=backend))
     mirror = ConstraintMonitor(
-        DCSatChecker(churn_db(), backend=backend, planner=planner),
-        incremental=False,
+        DCSatChecker(churn_db(), backend=backend), incremental=False
     )
     assert incremental.checker.engine.name == engine
     for monitor in (incremental, mirror):

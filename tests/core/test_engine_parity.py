@@ -292,61 +292,3 @@ class TestRandomizedTraceParity:
         finally:
             for monitor in monitors.values():
                 monitor.checker.close()
-
-
-class TestPlannerParity:
-    """The bitset planner must be invisible in every observable:
-    byte-identical evaluation plans (same worlds, same order) and
-    byte-identical check results over both backends."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_evaluation_plan_streams_are_identical(self, seed):
-        from repro.core.naive import maximal_worlds
-
-        db = random_db(random.Random(seed))
-        planners = {}
-        for planner in ("set", "bitset"):
-            checker = DCSatChecker(db_copy(db), planner=planner)
-            planners[planner] = list(
-                maximal_worlds(checker.workspace, checker.fd_graph)
-            )
-            checker.close()
-        # Exact stream equality — same frozensets, same order.
-        assert planners["bitset"] == planners["set"]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_planners_agree_across_engines(self, backend, seed):
-        rng = random.Random(seed)
-        db = random_db(rng)
-        checkers = {
-            planner: checker_for(
-                db, backend, assume_nonnegative_sums=True, planner=planner
-            )
-            for planner in ("set", "bitset")
-        }
-        reference = reference_for(db, assume_nonnegative_sums=True, planner="set")
-        try:
-            for query in CONJUNCTIVE_QUERIES:
-                for algorithm in ("naive", "opt", "auto"):
-                    expected = parity_view(
-                        reference.check(query, algorithm=algorithm)
-                    )
-                    for planner, checker in checkers.items():
-                        view = parity_view(checker.check(query, algorithm=algorithm))
-                        assert view == expected, (query, algorithm, planner)
-        finally:
-            for checker in checkers.values():
-                checker.close()
-            reference.close()
-
-    def test_checker_exposes_planner_name(self):
-        db = component_db(components=1, keys=1)
-        for planner, graph_type in (("set", "FdTransactionGraph"),
-                                    ("bitset", "BitsetFdGraph")):
-            checker = DCSatChecker(db_copy(db), planner=planner)
-            try:
-                assert checker.planner == planner
-                assert type(checker.fd_graph).__name__ == graph_type
-            finally:
-                checker.close()

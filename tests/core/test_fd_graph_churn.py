@@ -3,27 +3,22 @@
 A long-running monitor maintains its fd-transaction graph through
 ``add_transaction`` / ``remove_transaction`` / ``refresh_after_commit``
 as the mempool churns.  This property test replays a generated trace of
-issues, forgets and commits against both graph implementations and
-asserts, at every step, that the incrementally-maintained state —
-conflicts, nodes, never-appendable, and for the bitset graph the masks
-and the clique stream — is identical to a graph freshly built from the
-same database.  It also pins the interner's slot reuse: mask width is
-bounded by the *peak* concurrent population, not total traffic.
+issues, forgets and commits and asserts, at every step, that the
+incrementally-maintained state — conflicts, nodes, never-appendable,
+the group index and the clique stream — is identical to a graph
+freshly built from the same database.
 """
 
 import random
 
 import pytest
 
-from repro.core.bitset import BitsetFdGraph
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.workspace import Workspace
 from repro.relational.constraints import ConstraintSet, FunctionalDependency
 from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
-
-GRAPH_CLASSES = (FdTransactionGraph, BitsetFdGraph)
 
 
 def empty_db() -> BlockchainDatabase:
@@ -46,23 +41,19 @@ def graph_state(graph: FdTransactionGraph) -> tuple:
     return (graph.nodes, graph.conflicts, graph.never_appendable)
 
 
-def assert_matches_fresh(graph, workspace, graph_class):
-    fresh = graph_class(workspace)
+def assert_matches_fresh(graph, workspace):
+    fresh = FdTransactionGraph(workspace)
     assert graph_state(graph) == graph_state(fresh)
     assert graph._group_index == fresh._group_index
-    if isinstance(graph, BitsetFdGraph):
-        graph.verify_masks()
-        assert list(graph.maximal_cliques()) == list(fresh.maximal_cliques())
+    assert list(graph.maximal_cliques()) == list(fresh.maximal_cliques())
 
 
-@pytest.mark.parametrize("graph_class", GRAPH_CLASSES)
 @pytest.mark.parametrize("seed", range(6))
-def test_incremental_maintenance_matches_fresh_build(graph_class, seed):
+def test_incremental_maintenance_matches_fresh_build(seed):
     rng = random.Random(seed)
     workspace = Workspace(empty_db())
-    graph = graph_class(workspace)
+    graph = FdTransactionGraph(workspace)
     live: list[str] = []
-    peak = 0
     for step in range(40):
         roll = rng.random()
         if roll < 0.55 or not live:
@@ -87,20 +78,15 @@ def test_incremental_maintenance_matches_fresh_build(graph_class, seed):
             graph.refresh_after_commit()
             # Committing shrinks the appendable set for everyone.
             live = [t for t in live if t in workspace.db.pending_ids]
-        peak = max(peak, len(graph.nodes))
         if step % 5 == 4:
-            assert_matches_fresh(graph, workspace, graph_class)
-    assert_matches_fresh(graph, workspace, graph_class)
-    if isinstance(graph, BitsetFdGraph):
-        # Slot reuse: width tracks the peak concurrent population.
-        assert graph.interner.capacity <= peak
+            assert_matches_fresh(graph, workspace)
+    assert_matches_fresh(graph, workspace)
 
 
-@pytest.mark.parametrize("graph_class", GRAPH_CLASSES)
-def test_full_drain_resets_all_indexes(graph_class):
+def test_full_drain_resets_all_indexes():
     rng = random.Random(99)
     workspace = Workspace(empty_db())
-    graph = graph_class(workspace)
+    graph = FdTransactionGraph(workspace)
     ids = [f"T{i}" for i in range(12)]
     for tx_id in ids:
         workspace.issue(random_tx(rng, tx_id))
@@ -111,6 +97,3 @@ def test_full_drain_resets_all_indexes(graph_class):
     assert graph.nodes == set()
     assert graph.conflicts == {}
     assert graph._group_index == {}
-    if isinstance(graph, BitsetFdGraph):
-        assert graph.nodes_mask == 0
-        assert len(graph.interner) == 0

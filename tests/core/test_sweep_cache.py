@@ -1,20 +1,18 @@
 """Sweep-universe cache parity: a warm cache never changes a sweep.
 
-Both planners cache, per pool, everything a clique sweep needs besides
-Bron–Kerbosch (free set, contested adjacency, canonical ranks or masks)
-and clear it on every node or conflict change.  Random traces of
-issue / forget / commit / absorb — commits and absorbs evict pending
+The fd-transaction graph caches, per pool, everything a clique sweep
+needs besides Bron–Kerbosch (free set, contested adjacency, canonical
+ranks) and clears it on every node or conflict change.  Random traces
+of issue / forget / commit / absorb — commits and absorbs evict pending
 transactions through ``refresh_after_commit`` — re-sweep the same pools
 step after step, so cached universes are reused across mutations if
-the invalidation is wrong.  At every step the maintained set graph's
+the invalidation is wrong.  At every step the maintained graph's
 ``maximal_cliques(restrict)`` must equal, in order, a freshly built
-graph's stream and the maintained bitset graph's stream, and neither
-cache may outgrow the shared limit.
+graph's stream, and the cache may not outgrow its limit.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bitset import BitsetFdGraph
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.workspace import Workspace
@@ -52,11 +50,10 @@ def sweep(graph, restrict):
 
 @settings(max_examples=80, deadline=None)
 @given(ops=OPS, pools=POOLS)
-def test_cached_sweeps_match_fresh_and_bitset(ops, pools):
+def test_cached_sweeps_match_fresh(ops, pools):
     workspace = Workspace(empty_db())
-    graphs = (FdTransactionGraph(workspace), BitsetFdGraph(workspace))
-    for graph in graphs:
-        graph.SWEEP_CACHE_LIMIT = LIMIT
+    graph = FdTransactionGraph(workspace)
+    graph.SWEEP_CACHE_LIMIT = LIMIT
     issued = 0
     for kind, arg in ops:
         pending = sorted(workspace.db.pending_ids)
@@ -64,30 +61,26 @@ def test_cached_sweeps_match_fresh_and_bitset(ops, pools):
             tx_id = f"T{issued}"
             issued += 1
             workspace.issue(Transaction({"R": arg}, tx_id=tx_id))
-            for graph in graphs:
-                graph.add_transaction(tx_id)
+            graph.add_transaction(tx_id)
         elif kind == "forget" and pending:
             tx_id = pending[arg % len(pending)]
             workspace.forget(tx_id)
-            for graph in graphs:
-                graph.remove_transaction(tx_id)
+            graph.remove_transaction(tx_id)
         elif kind == "commit":
-            appendable = sorted(graphs[0].nodes)
+            appendable = sorted(graph.nodes)
             if not appendable:
                 continue
             tx_id = appendable[arg % len(appendable)]
             workspace.commit(tx_id)
-            for graph in graphs:
-                graph.remove_transaction(tx_id)
-                graph.refresh_after_commit()
+            graph.remove_transaction(tx_id)
+            graph.refresh_after_commit()
         elif kind == "absorb":
             key, value = arg
             if workspace.base["R"].lookup((0,), (key,)):
                 continue  # keep the committed state itself consistent
             workspace.absorb(Transaction({"R": [arg]}, tx_id=f"B{issued}"))
             issued += 1
-            for graph in graphs:
-                graph.refresh_after_commit()
+            graph.refresh_after_commit()
 
         pending = sorted(workspace.db.pending_ids)
         restricts = [None] + [
@@ -98,10 +91,8 @@ def test_cached_sweeps_match_fresh_and_bitset(ops, pools):
         # Sweep every pool twice: the second pass is served from cache.
         for _ in range(2):
             for restrict in restricts:
-                expected = sweep(fresh, restrict)
-                for graph in graphs:
-                    assert sweep(graph, restrict) == expected
-                    assert len(graph._sweep_cache) <= LIMIT
+                assert sweep(graph, restrict) == sweep(fresh, restrict)
+                assert len(graph._sweep_cache) <= LIMIT
 
 
 def test_repeat_sweep_reuses_universe_until_mutation():

@@ -232,6 +232,22 @@ def spawn_router(db_path, journal_dir, recover=False, timeout=120.0):
                 return process, host, int(port), lines
 
 
+def read_remaining_output(process, timeout=30.0):
+    """Everything *process* writes to stdout from here until EOF."""
+    fd = process.stdout.fileno()
+    deadline = time.monotonic() + timeout
+    chunks = []
+    while time.monotonic() < deadline:
+        readable, _, _ = select.select([fd], [], [], 0.25)
+        if not readable:
+            continue
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    return b"".join(chunks).decode("utf-8", "replace")
+
+
 def test_router_sigkill_then_recover_matches_single_monitor(tmp_path):
     """The acceptance scenario: SIGKILL the router mid-workload, restart
     it with ``--recover``, and every verdict — plus the whole
@@ -279,8 +295,11 @@ def test_router_sigkill_then_recover_matches_single_monitor(tmp_path):
             assert client.forget("T9") == single.forget("T9")
             assert_parity(client, single)
             client.shutdown_server()
+        output = read_remaining_output(survivor)
         survivor.wait(timeout=60.0)
         assert survivor.returncode == 0
+        # The same clean-exit line `repro serve` prints after a drain.
+        assert "repro-fabric stopped (drained)" in output, output
         survivor = None
     finally:
         for process in (router, survivor):

@@ -39,8 +39,8 @@ class TestRowIdentity:
         assert bench.row_key(a) == bench.row_key(dict(a, seconds=9.0))
 
     def test_describe_key_names_the_dims(self):
-        key = bench.row_key(row("x", 1.0, engine="sync", planner="bitset"))
-        assert bench.describe_key(key) == "x[engine=sync,planner=bitset]"
+        key = bench.row_key(row("x", 1.0, engine="sync", planner="set"))
+        assert bench.describe_key(key) == "x[engine=sync,planner=set]"
         assert bench.describe_key(bench.row_key(row("bare", 1.0))) == "bare"
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checker import DCSatChecker
-from repro.core.engine import SyncEngine
 from repro.obs.perf import (
     CostModel,
     bucket_label,
@@ -52,15 +51,15 @@ class TestCostModel:
 
     def test_first_observation_seeds_the_estimate(self):
         model = self.model()
-        model.observe(0.5, 12, engine="sync", planner="set")
-        assert model.predict(12, engine="sync", planner="set") == 0.5
+        model.observe(0.5, 12)
+        assert model.predict(12) == 0.5
         assert model.observations == 1
 
     def test_ewma_moves_toward_new_samples(self):
         model = self.model(alpha=0.5)
-        model.observe(1.0, 12, engine="sync", planner="set")
-        model.observe(3.0, 12, engine="sync", planner="set")
-        assert model.predict(12, engine="sync", planner="set") == pytest.approx(2.0)
+        model.observe(1.0, 12)
+        model.observe(3.0, 12)
+        assert model.predict(12) == pytest.approx(2.0)
 
     def test_warm_after_threshold(self):
         model = self.model(warm_after=3)
@@ -72,37 +71,38 @@ class TestCostModel:
 
     def test_prediction_scales_from_the_nearest_bucket(self):
         model = self.model()
-        model.observe(1.0, 8, engine="sync", planner="set")
+        model.observe(1.0, 8)
         # No 64-bucket estimate: fall back to the 8-15 bucket, scaled
         # linearly by the size ratio.
-        assert model.predict(64, engine="sync", planner="set") == pytest.approx(
-            8.0
-        )
+        assert model.predict(64) == pytest.approx(8.0)
         # And downward, toward tiny components.
-        assert model.predict(2, engine="sync", planner="set") == pytest.approx(
-            0.25
-        )
+        assert model.predict(2) == pytest.approx(0.25)
 
-    def test_prediction_prefers_matching_engine_and_planner(self):
+    def test_sweep_and_revalidate_estimates_stay_apart(self):
         model = self.model()
-        model.observe(1.0, 8, engine="sync", planner="set")
-        model.observe(100.0, 8, engine="batched", planner="bitset")
-        assert model.predict(8, engine="sync", planner="set") == 1.0
-        assert model.predict(8, engine="batched", planner="bitset") == 100.0
-        # An unknown pair still answers from whatever the model holds.
-        assert model.predict(8, engine="async", planner="set") is not None
+        model.observe(100.0, 8)
+        model.observe(1.0, 8, mode="revalidate")
+        assert model.predict(8) == 100.0
+        assert model.predict(8, mode="revalidate") == 1.0
+        # The nearest-bucket fallback also stays within its mode.
+        assert model.predict(64) == pytest.approx(800.0)
+        assert model.predict(64, mode="revalidate") == pytest.approx(8.0)
+        # A mode never observed still answers from whatever the model holds.
+        model = self.model()
+        model.observe(1.0, 8, mode="revalidate")
+        assert model.predict(8) == 1.0
 
     def test_snapshot_shape(self):
         model = self.model(warm_after=1)
-        model.observe(0.25, 12, engine="sync", planner="set", cliques=7)
+        model.observe(0.25, 12, cliques=7)
         snap = model.snapshot()
         assert snap["observations"] == 1
         assert snap["warm"] is True
         assert snap["warm_after"] == 1
         row = snap["estimates"][0]
         assert row["size_bucket"] == "8-15"
-        assert row["engine"] == "sync"
-        assert row["planner"] == "set"
+        assert row["mode"] == "sweep"
+        assert "engine" not in row and "planner" not in row
         assert row["ewma_seconds"] == 0.25
         assert row["ewma_cliques"] == 7.0
         assert row["samples"] == 1
@@ -119,9 +119,9 @@ class TestCostModel:
 
         model = self.model()
         stats = DCSatStats(engine="sync", elapsed_seconds=0.75, cliques_enumerated=9)
-        model.ingest(stats, size=5, planner="bitset")
-        assert model.predict(5, engine="sync", planner="bitset") == 0.75
-        model.ingest(stats, size=5, planner="bitset", seconds=0.25)
+        model.ingest(stats, size=5)
+        assert model.predict(5) == 0.75
+        model.ingest(stats, size=5, seconds=0.25)
         assert model.observations == 2
 
     def test_observations_export_to_the_default_registry(self):
@@ -132,13 +132,13 @@ class TestCostModel:
         metrics_module._DEFAULT_REGISTRY = registry
         try:
             model = CostModel(export_metrics=True)
-            model.observe(0.5, 12, engine="sync", planner="set")
+            model.observe(0.5, 12)
         finally:
             metrics_module._DEFAULT_REGISTRY = original
         text = registry.render_text()
         assert (
-            'repro_cost_model_estimate_seconds{bucket="8-15",engine="sync",'
-            'mode="sweep",planner="set"} 0.5' in text
+            'repro_cost_model_estimate_seconds{bucket="8-15",mode="sweep"} 0.5'
+            in text
         )
         assert "repro_cost_model_observations_total 1" in text
 
@@ -183,10 +183,7 @@ class TestPlanGroups:
     def test_warm_model_packs_the_giant_alone(self, pool):
         # Teach the model that cost is roughly linear in size.
         for size in (2, 16, 64):
-            pool.cost_model.observe(
-                size / 10.0, size,
-                engine=SyncEngine.name, planner=pool._planner_name,
-            )
+            pool.cost_model.observe(size / 10.0, size)
         # One giant (64) and six tiny (2) components: round-robin would
         # stripe two tinies alongside the giant; cost packing isolates it.
         groups, strategy, loads = pool.plan_groups(self.survivors([64] + [2] * 6))
@@ -202,18 +199,13 @@ class TestPlanGroups:
 
     def test_groups_hold_ascending_indices(self, pool):
         for size in (2, 8, 32):
-            pool.cost_model.observe(
-                size / 10.0, size,
-                engine=SyncEngine.name, planner=pool._planner_name,
-            )
+            pool.cost_model.observe(size / 10.0, size)
         groups, _, _ = pool.plan_groups(self.survivors([32, 2, 8, 2, 32, 8]))
         for group in groups:
             assert group == sorted(group)
 
     def test_forced_strategy_overrides_the_model(self, pool):
-        pool.cost_model.observe(
-            1.0, 4, engine=SyncEngine.name, planner=pool._planner_name
-        )
+        pool.cost_model.observe(1.0, 4)
         groups, strategy, _ = pool.plan_groups(
             self.survivors([4] * 6), strategy="round-robin"
         )

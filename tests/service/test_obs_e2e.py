@@ -138,12 +138,13 @@ class TestPooledEndToEnd:
         payload = json.loads(body)
         # The pooled check above fed the process-wide cost model, and
         # the scrape renders it: observation counts plus per-bucket
-        # EWMA rows tagged with engine and planner.
+        # EWMA rows keyed by size bucket and mode.
         model = payload["cost_model"]
         assert model["observations"] >= 1
         assert model["estimates"], "no cost estimates after a pooled check"
         row = model["estimates"][0]
-        assert {"size_bucket", "engine", "planner", "ewma_seconds", "samples"} <= set(row)
+        assert {"size_bucket", "mode", "ewma_seconds", "samples"} <= set(row)
+        assert "engine" not in row and "planner" not in row
         # Histogram summaries carry derived quantiles for the hot paths.
         for summary in payload["histograms"].values():
             for series in summary.values():
