@@ -1,16 +1,17 @@
-"""The fabric's reason to exist, measured: B shard *subprocesses*
-sweep B batteries' worlds concurrently, beating the single-process
-:class:`ShardedMonitor` that sweeps the same shards serially under one
-GIL.
+"""The fabric against one in-process monitor: B shard *subprocesses*
+sweep B decoupled batteries concurrently, while one
+:class:`~repro.core.monitor.ConstraintMonitor` checks the same
+constraints one at a time (``status_all(batch=False)`` — the same
+per-constraint worlds each shard sweeps, without the batch sweep that
+multiplies worlds across batteries).
 
-Same battery workload as ``test_sharded_monitor`` (B decoupled
-batteries, per-key conflicting pending pairs; each key is one
-fd-graph component of two worlds, and the satisfied constraint forces
-the sweep to visit every component's worlds), with ``KEYS`` raised
-until one battery's sweep dwarfs the fabric's per-call RPC overhead.
-Fleet spawn time is deliberately *excluded* — the fleet boots once and
-serves many sweeps; the steady-state ``status_all`` is what the router
-is for.
+B decoupled batteries of per-key conflicting pending pairs: each key is
+one fd-graph component of two worlds, and the satisfied constraint
+forces the sweep to visit every component's worlds, with ``KEYS``
+raised until one battery's sweep dwarfs the fabric's per-call RPC
+overhead.  Fleet spawn time is deliberately *excluded* — the fleet
+boots once and serves many sweeps; the steady-state ``status_all`` is
+what the router is for.
 
 Both wall clocks land in ``BENCH_<rev>.json`` via
 :func:`benchmarks.conftest.record_bench`.
@@ -31,7 +32,8 @@ from repro.relational.constraints import ConstraintSet, Key
 from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
 from repro.core.blockchain_db import BlockchainDatabase
-from repro.service.shard import ShardedMonitor
+from repro.core.checker import DCSatChecker
+from repro.core.monitor import ConstraintMonitor
 
 
 def _env_int(name: str, default: int) -> int:
@@ -73,7 +75,7 @@ def register_batteries(monitor) -> None:
         monitor.register(f"battery-{b}", f"q() <- R{b}(k, 'a'), R{b}(k, 'b')")
 
 
-def timed_sweeps(monitor, tag: str) -> list[float]:
+def timed_sweeps(monitor, tag: str, batch: bool = True) -> list[float]:
     timings = []
     for round_index in range(ROUNDS):
         # Absorb one fresh, conflict-free fact per battery: it touches
@@ -89,20 +91,20 @@ def timed_sweeps(monitor, tag: str) -> list[float]:
                 )
             )
         started = time.perf_counter()
-        verdicts = monitor.status_all(batch=True)
+        verdicts = monitor.status_all(batch=batch)
         timings.append(time.perf_counter() - started)
         assert all(verdicts[f"battery-{b}"].satisfied for b in range(BATTERIES))
     return timings
 
 
-def test_process_fleet_beats_single_process_shards(tmp_path):
+def test_process_fleet_beats_single_monitor(tmp_path):
     db_path = str(tmp_path / "batteries.json")
     serialize.dump(battery_db(), db_path)
 
-    sharded = ShardedMonitor(battery_db(), shards=BATTERIES)
-    register_batteries(sharded)
+    single = ConstraintMonitor(DCSatChecker(battery_db()))
+    register_batteries(single)
     for tx in battery_transactions():
-        sharded.issue(tx)
+        single.issue(tx)
 
     fleet = FleetSupervisor(ShardSpec(db_path=db_path), shards=BATTERIES)
     fabric = FabricMonitor(battery_db(), fleet)
@@ -112,12 +114,12 @@ def test_process_fleet_beats_single_process_shards(tmp_path):
             fabric.issue(tx)
 
         fabric_timings = timed_sweeps(fabric, "F")
-        sharded_timings = timed_sweeps(sharded, "S")
+        single_timings = timed_sweeps(single, "S", batch=False)
     finally:
         fabric.close()
 
     fabric_s = statistics.median(fabric_timings)
-    sharded_s = statistics.median(sharded_timings)
+    single_s = statistics.median(single_timings)
     cores = (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -131,15 +133,15 @@ def test_process_fleet_beats_single_process_shards(tmp_path):
         shards=BATTERIES,
         cores=cores,
         seconds=fabric_s,
-        single_process_seconds=sharded_s,
-        speedup=sharded_s / fabric_s if fabric_s else float("inf"),
+        single_process_seconds=single_s,
+        speedup=single_s / fabric_s if fabric_s else float("inf"),
     )
     if cores < 2:
         # One core cannot run two shard subprocesses concurrently; the
         # fabric then pays its RPC overhead with nothing to win.  The
         # timings are recorded above either way.
         pytest.skip(f"speedup needs >= 2 CPU cores, host has {cores}")
-    assert fabric_s < sharded_s, (
+    assert fabric_s < single_s, (
         f"{BATTERIES} shard subprocesses took {fabric_s:.3f}s vs "
-        f"{sharded_s:.3f}s for the single-process sharded monitor"
+        f"{single_s:.3f}s for one in-process monitor"
     )

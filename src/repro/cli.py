@@ -136,51 +136,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.monitor import ConstraintMonitor
     from repro.service.metrics import MetricsRegistry
-    from repro.service.pool import PooledDCSatChecker, default_pool_size
+    from repro.service.pool import PooledDCSatChecker
     from repro.service.server import ConstraintService
-    from repro.service.shard import ShardedMonitor
 
     db = serialize.load(args.database)
     metrics = MetricsRegistry()
-    if args.shards > 1:
-        # Split the worker budget evenly across shards; a shard with a
-        # single worker gets a plain sequential checker (no pool).
-        per_shard_workers = args.pool_size or max(
-            1, default_pool_size() // args.shards
-        )
-
-        def shard_checker(shard_db):
-            if per_shard_workers > 1:
-                return PooledDCSatChecker(
-                    shard_db,
-                    backend=args.backend,
-                    assume_nonnegative_sums=args.assume_nonnegative_sums,
-                    max_workers=per_shard_workers,
-                )
-            return DCSatChecker(
-                shard_db,
-                backend=args.backend,
-                assume_nonnegative_sums=args.assume_nonnegative_sums,
-            )
-
-        monitor = ShardedMonitor(
-            db,
-            shards=args.shards,
-            checker_factory=shard_checker,
-            metrics=metrics,
-        )
-        detail = f"shards={args.shards}x{per_shard_workers} workers"
-    else:
-        checker = PooledDCSatChecker(
-            db,
-            backend=args.backend,
-            assume_nonnegative_sums=args.assume_nonnegative_sums,
-            max_workers=args.pool_size,
-        )
-        monitor = ConstraintMonitor(checker)
-        detail = f"pool={checker.pool.max_workers} workers"
+    checker = PooledDCSatChecker(
+        db,
+        backend=args.backend,
+        assume_nonnegative_sums=args.assume_nonnegative_sums,
+        max_workers=args.pool_size,
+    )
     service = ConstraintService(
-        monitor,
+        ConstraintMonitor(checker),
         metrics=metrics,
         queue_limit=args.queue_limit,
         default_deadline=args.deadline,
@@ -190,7 +158,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def ready(host: str, port: int) -> None:
         print(
             f"repro-service listening on {host}:{port} "
-            f"({detail}, queue={args.queue_limit}, deadline={args.deadline}s)",
+            f"(pool={checker.pool.max_workers} workers, "
+            f"queue={args.queue_limit}, deadline={args.deadline}s)",
             flush=True,
         )
 
@@ -216,10 +185,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         )
     finally:
-        if isinstance(monitor, ShardedMonitor):
-            monitor.close()
-        else:
-            monitor.checker.close()
+        checker.close()
     print("repro-service stopped (drained)", flush=True)
     return 0
 
@@ -433,13 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--pool-size", type=int, default=None,
         help="solver worker processes (default: CPU count, capped at 8; "
-        "1 disables the pool; with --shards, workers per shard)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="partition registered constraints across this many monitor "
-        "shards, routing state changes only to the shards they can "
-        "affect (1 keeps the single monitor)",
+        "1 disables the pool)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=64,

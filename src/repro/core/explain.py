@@ -107,7 +107,9 @@ def explain_violation(
                 facts.append(_provenance(workspace, relation, values))
         explanation = Explanation(
             witness=result.witness,
-            facts=_dedupe(facts),
+            # Match order follows set iteration; sort so the listing is
+            # the same under any hash seed.
+            facts=sorted(set(facts), key=_fact_key),
             aggregate_value=_aggregate_value(query.func, rows),
             note=(
                 f"{query.func}({len(rows)} assignments) {query.op} "
@@ -117,21 +119,34 @@ def explain_violation(
         workspace.clear_active()
         return explanation
 
-    for assignment, matched in iter_matches(query, workspace):
-        facts = [
-            _provenance(workspace, relation, values)
-            for relation, values in matched
-        ]
-        explanation = Explanation(
-            witness=result.witness,
-            assignment=dict(assignment),
-            facts=_dedupe(facts),
+    # Explain the least match (matched facts compared atom by atom), not
+    # the first one found: search order follows set iteration.
+    try:
+        best = min(
+            iter_matches(query, workspace),
+            key=lambda match: [values for _, values in match[1]],
+            default=None,
         )
+    except TypeError:  # a column mixes incomparable types
+        best = min(
+            iter_matches(query, workspace),
+            key=lambda match: [_values_key(values) for _, values in match[1]],
+            default=None,
+        )
+    if best is None:
         workspace.clear_active()
-        return explanation
+        raise ReproError(
+            "witness world does not satisfy the query — solver inconsistency"
+        )
+    assignment, matched = best
+    facts = [
+        _provenance(workspace, relation, values) for relation, values in matched
+    ]
     workspace.clear_active()
-    raise ReproError(
-        "witness world does not satisfy the query — solver inconsistency"
+    return Explanation(
+        witness=result.witness,
+        assignment=dict(assignment),
+        facts=_dedupe(facts),
     )
 
 
@@ -143,6 +158,15 @@ def _provenance(
     providers = workspace.providers_of(relation, values) & workspace.active
     source = sorted(providers)[0] if providers else "unknown"
     return ExplainedFact(relation, values, source)
+
+
+def _values_key(values: tuple) -> tuple:
+    """A total order over fact values, mixed types included."""
+    return tuple((type(value).__name__, value) for value in values)
+
+
+def _fact_key(fact: ExplainedFact) -> tuple:
+    return fact.relation, _values_key(fact.values), fact.source
 
 
 def _dedupe(facts: list[ExplainedFact]) -> list[ExplainedFact]:

@@ -25,7 +25,6 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.core.workspace import Workspace
 from repro.graphs.cliques import bron_kerbosch_adjacency, canonical_ranks
-from repro.relational.checking import transactions_fd_consistent
 from repro.relational.relation import project
 
 
@@ -257,23 +256,6 @@ class FdTransactionGraph:
                 if u != v and v in self.conflicts[u]:
                     return False
         return True
-
-    def verify_against(self) -> None:
-        """Cross-check the conflict index with pairwise fd checks (tests)."""
-        ids = sorted(self.nodes)
-        for i, u in enumerate(ids):
-            for v in ids[i + 1 :]:
-                expected = transactions_fd_consistent(
-                    self._workspace.transaction_facts(u),
-                    self._workspace.transaction_facts(v),
-                    self._workspace.db.constraints,
-                )
-                actual = self.has_edge(u, v)
-                if expected != actual:
-                    raise AssertionError(
-                        f"fd-graph mismatch for ({u}, {v}): "
-                        f"pairwise={expected} index={actual}"
-                    )
 
     def __repr__(self) -> str:
         return (

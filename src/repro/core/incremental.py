@@ -285,18 +285,6 @@ class VerdictLedger:
             "counters": dict(self.counters),
         }
 
-    def merge_snapshot(self, other: dict, into: dict) -> dict:
-        """Fold another snapshot into *into* (sharded aggregation)."""
-        into.setdefault("witness_mode", other.get("witness_mode"))
-        into["constraints"] = into.get("constraints", 0) + other.get(
-            "constraints", 0
-        )
-        into["entries"] = into.get("entries", 0) + other.get("entries", 0)
-        counters = into.setdefault("counters", _fresh_counters())
-        for key, value in (other.get("counters") or {}).items():
-            counters[key] = counters.get(key, 0) + value
-        return into
-
     def __repr__(self) -> str:
         return (
             f"VerdictLedger({len(self._states)} constraints, "

@@ -133,10 +133,6 @@ class IndQTransactionGraph:
             self._apply_constraint(uf, constraint)
         return uf.components()
 
-    def ind_edge_count(self) -> int:
-        """Number of non-singleton Θ_I components (diagnostics only)."""
-        return sum(1 for c in self._ind_union_find().components() if len(c) > 1)
-
     def __repr__(self) -> str:
         components = self._ind_union_find().components()
         return (

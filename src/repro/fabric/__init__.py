@@ -1,17 +1,18 @@
 """repro.fabric — a cross-process shard fleet behind one wire endpoint.
 
-The fabric promotes :class:`~repro.service.shard.ShardedMonitor`'s
-in-process constraint partitioning to B-way *hardware* parallelism:
-every shard runs as its own ``repro serve`` subprocess (one interpreter,
-one GIL, one solver each), and a router process speaks the same
-JSON-lines protocol to clients, so existing
-:class:`~repro.service.client.ServiceClient` code works unchanged
-against a fleet.
+The fabric partitions registered constraints by coupled relation
+footprint across shard processes: every shard runs as its own
+``repro serve`` subprocess (one interpreter, one solver each), and a
+router process speaks the same JSON-lines protocol to clients, so
+existing :class:`~repro.service.client.ServiceClient` code works
+unchanged against a fleet.  It is a durability and isolation tier (a
+write-ahead journal, ``--recover`` after a crash, a liveness watchdog),
+not a speed-up: see ``docs/FABRIC.md`` for the measured cost.
 
 * :mod:`~repro.fabric.topology` — :class:`ShardTopology`, the routing
-  brain shared with ``ShardedMonitor``: constraint placement by coupled
-  footprint, skip/replay backlogs, per-shard pending bookkeeping, and
-  footprint-driven rebalance plans.  It only *decides*; executors apply.
+  brain: constraint placement by coupled footprint, skip/replay
+  backlogs, per-shard pending bookkeeping, and footprint-driven
+  rebalance plans.  It only *decides*; executors apply.
 * :mod:`~repro.fabric.supervisor` — shard process lifecycle: spawn,
   ready-probe, liveness, kill and respawn (:class:`FleetSupervisor`
   over subprocesses; :class:`ThreadFleet` over in-process servers for

@@ -10,10 +10,8 @@ fleet without knowing it.  Underneath, each shard of the partition is a
 :class:`~repro.fabric.supervisor.FleetSupervisor`), reached over its own
 JSON-lines connection.
 
-Routing decisions come from the shared
-:class:`~repro.fabric.topology.ShardTopology` — the same planner that
-drives the in-process :class:`~repro.service.shard.ShardedMonitor` — so
-the fleet inherits its verdict-identity guarantees: commits and absorbs
+Routing decisions come from :class:`~repro.fabric.topology.ShardTopology`,
+so every shard's verdicts match one monitor's: commits and absorbs
 fan out only to the ind/co-write coupled closure of affected shards,
 decoupled shards backlog the op router-side, and ``status_all``
 scatter-gathers across the fleet.
@@ -25,7 +23,7 @@ What the cross-process setting adds:
   router holds mirror verdict caches (:class:`MonitorEntry` per
   constraint).  Invalidation lists are computed *here*, never asked of
   a shard — a freshly respawned shard has empty caches and would
-  under-report, breaking parity with the single-process fleet.
+  under-report, breaking parity with a single monitor.
 * **A journal that is the source of truth.**  The router journals every
   wire op *before* sending it (and every backlogged op as a ``skip``
   record), optionally to a durable on-disk
@@ -581,11 +579,8 @@ class FabricMonitor:
         return result
 
     def status_all(self, batch: bool = True) -> dict[str, DCSatResult]:
-        """Scatter-gather: every populated shard sweeps concurrently.
-
-        This is the fleet's reason to exist: B coupled batteries sweep
-        B·2^K worlds *in parallel across processes*, where the
-        single-process :class:`ShardedMonitor` sweeps them serially.
+        """Scatter-gather: every populated shard sweeps concurrently,
+        each over the pending transactions its constraints can observe.
         """
         tracer = default_tracer()
         parent = tracer.current()

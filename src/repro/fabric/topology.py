@@ -1,4 +1,4 @@
-"""The routing brain shared by the in-process and cross-process fleets.
+"""The routing brain behind the fabric router.
 
 :class:`ShardTopology` owns everything about a constraint fleet that is
 *not* solving: the authoritative front database (which validates every
@@ -6,19 +6,13 @@ state change before routing), constraint placement by ind-coupled
 footprint, the per-shard skipped-op backlogs with their drain/replay
 semantics, and per-shard pending bookkeeping.  It emits **plans** —
 ordered per-shard action lists — and never touches a monitor itself:
+:class:`~repro.fabric.router.FabricMonitor` executes them against shard
+servers over the JSON-lines wire protocol.  The randomized-trace suites
+in ``tests/fabric/`` pin every shard's verdicts to one monitor's.
 
-* :class:`~repro.service.shard.ShardedMonitor` executes plans against
-  in-process :class:`~repro.core.monitor.ConstraintMonitor` shards;
-* :class:`~repro.fabric.router.FabricMonitor` executes the same plans
-  against shard *subprocesses* over the JSON-lines wire protocol.
-
-Because both fronts share one decision engine, the cross-process fleet
-inherits the verdict-identity guarantees pinned by the randomized-trace
-suites in ``tests/service/test_shard.py`` and ``tests/fabric/``.
-
-The routing semantics (unchanged from PR 2): a state change over
-relations ``S`` can only affect shards whose footprint intersects the
-ind-connectivity / co-write coupled closure of ``S``
+The routing semantics: a state change over relations ``S`` can only
+affect shards whose footprint intersects the ind-connectivity /
+co-write coupled closure of ``S``
 (:func:`~repro.core.monitor.coupled_relations`); every other shard
 appends the op to its backlog.  Skipped ops replay — in original global
 order — before the next coupled op, before a registration that grows
@@ -114,7 +108,7 @@ class ShardSlot:
 
     __slots__ = (
         "index", "footprint", "skipped", "names",
-        "pending", "flushes", "drained_ops",
+        "pending", "flushes",
     )
 
     def __init__(self, index: int):
@@ -132,7 +126,6 @@ class ShardSlot:
         #: applied — its own db's pending set, tracked router-side.
         self.pending: dict[str, frozenset[str]] = {}
         self.flushes = 0
-        self.drained_ops = 0
 
 
 class ShardTopology:
@@ -323,7 +316,6 @@ class ShardTopology:
         slot.skipped = retained
         if drained:
             slot.flushes += 1
-            slot.drained_ops += len(drained)
         return drained, len(retained)
 
     def _applied(

@@ -125,32 +125,3 @@ def is_clique(graph: UndirectedGraph, nodes: set | frozenset) -> bool:
             if not graph.has_edge(u, v):
                 return False
     return True
-
-
-def maximal_cliques_containing(
-    graph: UndirectedGraph, seed: frozenset, pivot: bool = True
-) -> Iterator[frozenset]:
-    """Yield the maximal cliques of *graph* that contain every node of *seed*.
-
-    Used by the assignment-driven solver: restrict the search to the
-    common neighbourhood of the seed and extend.  The seed itself must be
-    a clique; otherwise nothing is yielded.
-    """
-    if not seed:
-        yield from bron_kerbosch(graph, pivot=pivot)
-        return
-    if not is_clique(graph, seed):
-        return
-    common: set | None = None
-    for node in seed:
-        if node not in graph:
-            return
-        nbrs = set(graph.neighbors(node))
-        common = nbrs if common is None else common & nbrs
-    assert common is not None
-    common -= set(seed)
-    if not common:
-        yield frozenset(seed)
-        return
-    for clique in bron_kerbosch(graph.subgraph(common), pivot=pivot):
-        yield frozenset(seed) | clique

@@ -31,18 +31,3 @@ def connected_components(graph: UndirectedGraph) -> list[frozenset]:
                     queue.append(neighbor)
         components.append(frozenset(component))
     return components
-
-
-def component_of(graph: UndirectedGraph, node: Hashable) -> frozenset:
-    """The connected component containing *node*."""
-    if node not in graph:
-        return frozenset()
-    queue: deque = deque([node])
-    seen = {node}
-    while queue:
-        current = queue.popleft()
-        for neighbor in graph.neighbors(current):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
-    return frozenset(seen)

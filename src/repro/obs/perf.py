@@ -149,23 +149,6 @@ class CostModel:
                 "Per-component solve timings folded into the cost model.",
             ).inc()
 
-    def ingest(
-        self,
-        stats,
-        size: int,
-        seconds: float | None = None,
-    ) -> None:
-        """Fold a :class:`~repro.core.results.DCSatStats` into the model.
-
-        *seconds* overrides ``stats.elapsed_seconds`` when the caller
-        timed the component more precisely than the merged aggregate.
-        """
-        self.observe(
-            seconds if seconds is not None else stats.elapsed_seconds,
-            size,
-            cliques=stats.cliques_enumerated,
-        )
-
     # -- prediction -----------------------------------------------------
 
     @property

@@ -7,10 +7,6 @@ deployment of *Database Perspectives on Blockchains*):
   per-component clique checks and batch query groups out across
   workers, with op-log snapshot sync and an any-violation early-cancel
   path; :class:`PooledDCSatChecker` is the drop-in parallel checker.
-* :mod:`~repro.service.shard` — :class:`ShardedMonitor`, which
-  partitions registered constraints by coupled relation footprint
-  across N monitors (each with its own checker / pool) and routes
-  state changes only to the shards they can affect.
 * :mod:`~repro.service.server` — an asyncio JSON-lines TCP server
   wrapping a :class:`~repro.core.monitor.ConstraintMonitor`, with
   per-request deadlines, bounded-queue backpressure and graceful
@@ -28,7 +24,6 @@ from repro.service.client import ServiceClient
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.pool import PooledDCSatChecker, SolverPool, default_pool_size
 from repro.service.server import ConstraintService, ServiceHandle, serve_in_thread
-from repro.service.shard import ShardedMonitor
 
 __all__ = [
     "ServiceClient",
@@ -42,5 +37,4 @@ __all__ = [
     "ConstraintService",
     "ServiceHandle",
     "serve_in_thread",
-    "ShardedMonitor",
 ]

@@ -36,7 +36,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.monitor import ConstraintMonitor
 from repro.errors import ReproError, ServiceError
@@ -46,7 +46,9 @@ from repro.obs.perf import build_info, default_cost_model
 from repro.obs.trace import Span, Tracer, default_tracer
 from repro.service import protocol
 from repro.service.metrics import MetricsRegistry, default_registry
-from repro.service.shard import ShardedMonitor
+
+if TYPE_CHECKING:
+    from repro.fabric.router import FabricMonitor
 
 log = get_logger("service.server")
 
@@ -55,9 +57,9 @@ DEFAULT_DEADLINE = 30.0
 DEFAULT_DRAIN_TIMEOUT = 10.0
 
 
-# The service accepts anything monitor-shaped: a single
-# ConstraintMonitor (one checker) or a ShardedMonitor (one per shard).
-# These helpers bridge the two surfaces.
+# The service accepts anything monitor-shaped: a ConstraintMonitor (one
+# checker) or the fabric's FabricMonitor (no local checker; its shard
+# servers solve).  These helpers bridge the two surfaces.
 
 
 def _monitor_checkers(monitor) -> list:
@@ -86,7 +88,7 @@ class ConstraintService:
 
     def __init__(
         self,
-        monitor: ConstraintMonitor | ShardedMonitor,
+        monitor: ConstraintMonitor | FabricMonitor,
         metrics: MetricsRegistry | None = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         default_deadline: float = DEFAULT_DEADLINE,

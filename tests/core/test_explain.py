@@ -83,3 +83,74 @@ class TestErrors:
         bogus = DCSatResult(satisfied=False, witness=frozenset({"T3"}))
         with pytest.raises(ReproError):
             explain_violation(figure2, query, bogus)
+
+
+class TestHashSeedIndependence:
+    """``repro check --explain`` prints the same bytes under any hash
+    seed: set iteration order must not pick the facts or the match."""
+
+    @pytest.fixture(scope="class")
+    def paper_inputs(self, tmp_path_factory):
+        from repro import serialize
+        from repro.bitcoin.generator import PRESETS, generate_dataset
+        from repro.workloads.constants import ConstantPicker
+        from repro.workloads.queries import (
+            aggregate_constraint,
+            path_constraint,
+            simple_constraint,
+            star_constraint,
+        )
+
+        dataset = generate_dataset(PRESETS["D200-S"])
+        picker = ConstantPicker(dataset)
+        source, sink = picker.path_endpoints(3)
+        address, threshold = picker.aggregate_target()
+        queries = {
+            "q_s": simple_constraint(picker.pending_recipient()),
+            "q_r3": star_constraint(3, picker.star_source(3)),
+            "q_a": aggregate_constraint(address, threshold),
+            "q_p3": path_constraint(3, source, sink),
+        }
+        path = tmp_path_factory.mktemp("explain") / "d200.json"
+        serialize.dump(dataset.to_blockchain_database(), str(path))
+        return str(path), {name: str(query) for name, query in queries.items()}
+
+    def test_explain_output_is_byte_identical_across_seeds(self, paper_inputs):
+        import json
+        import os
+        import re
+        import subprocess
+        import sys
+
+        # One interpreter per seed runs ``repro check --explain`` on every
+        # family (interpreter start-up dominates a single check).
+        program = (
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "out = {}\n"
+            "for family, query in json.loads(sys.argv[2]).items():\n"
+            "    buffer = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buffer):\n"
+            "        code = main(['check', sys.argv[1], '--query', query,\n"
+            "                     '--explain', '--assume-nonnegative-sums'])\n"
+            "    out[family] = [code, buffer.getvalue()]\n"
+            "print(json.dumps(out))\n"
+        )
+        path, queries = paper_inputs
+        outputs = {}
+        for seed in ("1", "2", "3"):
+            run = subprocess.run(
+                [sys.executable, "-c", program, path, json.dumps(queries)],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            assert run.returncode == 0, run.stderr
+            for family, (code, text) in json.loads(run.stdout).items():
+                assert code == 1, f"{family} should be violable"
+                assert "uses " in text
+                # Wall-clock timing is the one field allowed to differ.
+                outputs.setdefault(family, set()).add(
+                    re.sub(r"elapsed=\S+", "elapsed=", text)
+                )
+        for family, seen in outputs.items():
+            assert len(seen) == 1, f"{family}: {len(seen)} distinct outputs"

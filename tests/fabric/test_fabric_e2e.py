@@ -311,6 +311,49 @@ def test_router_sigkill_then_recover_matches_single_monitor(tmp_path):
         reap_stale(FabricJournal(journal_dir).fleet_state_path)
 
 
+def test_fabric_serve_round_trip_and_sigint_drain(tmp_path):
+    """``repro fabric`` serves one op script across two shard processes
+    and drains cleanly on SIGINT, the way ``repro serve`` does."""
+    db_path = str(tmp_path / "seed.json")
+    serialize.dump(two_relation_db(), db_path)
+    journal_dir = str(tmp_path / "journal")
+    router, host, port, _ = spawn_router(db_path, journal_dir)
+    try:
+        with ServiceClient(host, port, timeout=120.0) as client:
+            assert client.ping()["pong"] is True
+            client.register("a-conflict", Q_A)
+            client.register("quiet-b", "q() <- B(1, 'boom')")
+            described = client.shards()
+            assert described["sharded"] is True
+            assert described["shards"] == 2
+            assert client.status("a-conflict")["satisfied"] is True
+            assert client.status("quiet-b")["satisfied"] is True
+            assert client.issue(
+                Transaction({"B": [(1, "boom")]}, tx_id="T-B")
+            ) == ["quiet-b"]
+            assert client.status("quiet-b")["satisfied"] is False
+            assert client.commit("T-B") == ["quiet-b"]
+            assert client.absorb(
+                Transaction({"A": [(1, "x")]}, tx_id="ABS")
+            ) == ["a-conflict"]
+            text = client.metrics_text()
+            assert 'repro_fabric_shard_constraints{shard="0"} 1' in text
+            assert 'repro_fabric_shard_constraints{shard="1"} 1' in text
+
+        router.send_signal(signal.SIGINT)
+        output = read_remaining_output(router)
+        router.wait(timeout=60.0)
+        assert router.returncode == 0, output
+        assert "repro-fabric stopped (drained)" in output, output
+    finally:
+        if router.poll() is None:
+            router.kill()
+            router.wait()
+        from repro.fabric import FabricJournal, reap_stale
+
+        reap_stale(FabricJournal(journal_dir).fleet_state_path)
+
+
 def test_fabric_rejects_stale_journal_without_recover_flag(tmp_path):
     """Restarting over an existing journal without ``--recover`` must
     refuse loudly instead of silently shadowing durable state."""

@@ -34,6 +34,10 @@ class TestPlacement:
         with pytest.raises(ReproError):
             reg(topology, "x", ["B"])
 
+    def test_needs_at_least_one_shard(self):
+        with pytest.raises(ReproError):
+            ShardTopology(two_relation_db(), shards=0)
+
     def test_forget_placement_shrinks_footprint(self):
         topology = ShardTopology(two_relation_db(), shards=1)
         reg(topology, "a1", ["A"])

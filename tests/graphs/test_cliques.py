@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import UndirectedGraph, bron_kerbosch, maximal_cliques
-from repro.graphs.cliques import is_clique, maximal_cliques_containing
+from repro.graphs.cliques import is_clique
 
 
 def _as_nx(graph: UndirectedGraph) -> nx.Graph:
@@ -81,33 +81,3 @@ def test_is_clique():
     assert is_clique(g, {1})
     assert is_clique(g, set())
     assert not is_clique(g, {1, 4})
-
-
-class TestCliquesContaining:
-    def test_seed_extension(self):
-        g = UndirectedGraph(edges=[(1, 2), (2, 3), (1, 3), (3, 4), (1, 4)])
-        cliques = set(maximal_cliques_containing(g, frozenset({1, 3})))
-        expected = {
-            c for c in _nx_cliques(g) if {1, 3} <= c
-        }
-        assert cliques == expected
-
-    def test_non_clique_seed_yields_nothing(self):
-        g = UndirectedGraph(edges=[(1, 2), (3, 4)])
-        assert list(maximal_cliques_containing(g, frozenset({1, 3}))) == []
-
-    def test_empty_seed_is_all_cliques(self):
-        g = UndirectedGraph(edges=[(1, 2), (3, 4)])
-        assert set(maximal_cliques_containing(g, frozenset())) == set(
-            maximal_cliques(g)
-        )
-
-    def test_seed_with_no_extension(self):
-        g = UndirectedGraph(edges=[(1, 2)])
-        assert set(maximal_cliques_containing(g, frozenset({1, 2}))) == {
-            frozenset({1, 2})
-        }
-
-    def test_unknown_seed_node(self):
-        g = UndirectedGraph(edges=[(1, 2)])
-        assert list(maximal_cliques_containing(g, frozenset({99}))) == []

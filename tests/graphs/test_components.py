@@ -1,7 +1,6 @@
 """Connected components."""
 
 from repro.graphs import UndirectedGraph, connected_components
-from repro.graphs.components import component_of
 
 
 def test_basic_components():
@@ -23,13 +22,6 @@ def test_single_component():
     components = connected_components(g)
     assert len(components) == 1
     assert components[0] == frozenset(range(11))
-
-
-def test_component_of():
-    g = UndirectedGraph(edges=[(1, 2), (4, 5)])
-    assert component_of(g, 1) == frozenset({1, 2})
-    assert component_of(g, 5) == frozenset({4, 5})
-    assert component_of(g, 99) == frozenset()
 
 
 def test_components_partition_nodes():

@@ -114,16 +114,6 @@ class TestCostModel:
         assert model.observations == 0
         assert model.predict(12) is None
 
-    def test_ingest_reads_stats_fields(self):
-        from repro.core.results import DCSatStats
-
-        model = self.model()
-        stats = DCSatStats(engine="sync", elapsed_seconds=0.75, cliques_enumerated=9)
-        model.ingest(stats, size=5)
-        assert model.predict(5) == 0.75
-        model.ingest(stats, size=5, seconds=0.25)
-        assert model.observations == 2
-
     def test_observations_export_to_the_default_registry(self):
         from repro.service import metrics as metrics_module
 

@@ -94,60 +94,17 @@ def test_serve_round_trip_and_sigint_drain(db_path):
             kill_group(process)
 
 
-@pytest.fixture(scope="module")
-def two_relation_db_path(tmp_path_factory):
-    from repro.core.blockchain_db import BlockchainDatabase
-    from repro.relational.constraints import ConstraintSet, FunctionalDependency
-    from repro.relational.database import Database, make_schema
-
-    schema = make_schema({"R": ["cid", "k", "v"], "S": ["x"]})
-    constraints = ConstraintSet(
-        schema, [FunctionalDependency("R", ["cid", "k"], ["v"])]
+def test_serve_imports_no_fabric_module():
+    # One in-process monitor: serving never loads the subprocess fleet.
+    probe = (
+        "import sys, repro.cli, repro.service.server; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.fabric')))"
     )
-    db = BlockchainDatabase(
-        Database.from_dict(schema, {"R": [], "S": []}), constraints
-    )
-    path = tmp_path_factory.mktemp("serve-sharded") / "chain.json"
-    serialize.dump(db, str(path))
-    return str(path)
-
-
-def test_serve_sharded_round_trip(two_relation_db_path):
-    # --pool-size 1 (overriding start_server's default 2) keeps each
-    # shard on a plain sequential checker: no fork workers to manage.
-    process, host, port = start_server(
-        two_relation_db_path, "--shards", "2", "--pool-size", "1"
-    )
-    try:
-        with ServiceClient(host, port) as client:
-            assert client.ping()["pong"] is True
-            described = client.shards()
-            assert described["sharded"] is True
-            assert described["shards"] == 2
-
-            client.register("conflict", Q_CONFLICT)
-            client.register("quiet-s", "q() <- S('boom')")
-            assert client.status("conflict")["satisfied"] is True
-            assert client.status("quiet-s")["satisfied"] is True
-            assert client.issue(
-                Transaction({"S": [("boom",)]}, tx_id="T-S")
-            ) == ["quiet-s"]
-            assert client.status("quiet-s")["satisfied"] is False
-            assert client.commit("T-S") == ["quiet-s"]
-            assert client.absorb(
-                Transaction({"R": [(1, 1, "a")]}, tx_id="ABS")
-            ) == ["conflict"]
-            text = client.metrics_text()
-            assert 'repro_shard_constraints{shard="0"} 1' in text
-            assert 'repro_shard_constraints{shard="1"} 1' in text
-
-        process.send_signal(signal.SIGINT)
-        stdout, stderr = process.communicate(timeout=30)
-        assert process.returncode == 0, stderr
-        assert "repro-service stopped (drained)" in stdout
-    finally:
-        if process.poll() is None:
-            kill_group(process)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_serve_sigint_with_request_in_flight(db_path):

@@ -95,8 +95,8 @@ class TestRegistry:
 
     def test_numeric_label_values_coerced(self):
         registry = MetricsRegistry()
-        registry.gauge("repro_shard_pending", labels={"shard": 3}).set(7)
-        assert 'repro_shard_pending{shard="3"} 7' in registry.render_text()
+        registry.gauge("repro_fabric_pending", labels={"shard": 3}).set(7)
+        assert 'repro_fabric_pending{shard="3"} 7' in registry.render_text()
 
     def test_remove_series_drops_one_labelling(self):
         registry = MetricsRegistry()

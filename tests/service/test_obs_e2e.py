@@ -18,8 +18,8 @@ from repro.service.client import ServiceClient
 from repro.service.metrics import MetricsRegistry
 from repro.service.pool import PooledDCSatChecker
 from repro.service.server import ConstraintService, serve_in_thread
-from repro.service.shard import ShardedMonitor
 
+from tests.fabric.conftest import thread_fabric
 from tests.service.conftest import Q_CONFLICT, Q_TWO_A, component_db, r_tx
 
 needs_fork = pytest.mark.skipif(
@@ -183,7 +183,9 @@ class TestPooledEndToEnd:
 class TestShardedEndToEnd:
     @pytest.fixture(scope="class")
     def server(self):
-        monitor = ShardedMonitor(component_db(components=4, keys=2), shards=2)
+        monitor = thread_fabric(
+            lambda: component_db(components=4, keys=2), shards=2
+        )
         service = ConstraintService(monitor, metrics=MetricsRegistry())
         handle = serve_in_thread(service, http_port=0)
         yield handle
@@ -195,11 +197,11 @@ class TestShardedEndToEnd:
             client.register("conflict", Q_CONFLICT)
             client.issue(r_tx("fresh", 0, 0, "c"))
             issue_trace = fetch_trace(server, client.last_trace_id)
-            assert "shard.route" in span_names(issue_trace)
+            assert "fabric.route" in span_names(issue_trace)
             route = next(
                 span
                 for span in issue_trace["spans"]
-                if span["name"] == "shard.route"
+                if span["name"] == "fabric.route"
             )
             assert route["attributes"]["kind"] == "issue"
             assert (
@@ -210,7 +212,9 @@ class TestShardedEndToEnd:
 
             client.status("conflict")
             status_trace = fetch_trace(server, client.last_trace_id)
+            # The shard server's spans are adopted under fabric.call.
             assert {
+                "fabric.call",
                 "monitor.status",
                 "dcsat.check",
                 "clique_sweep",

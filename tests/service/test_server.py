@@ -181,9 +181,9 @@ class TestRoundTrip:
 
 class TestShardedService:
     def test_round_trip_through_sharded_monitor(self):
-        from repro.service.shard import ShardedMonitor
+        from tests.fabric.conftest import thread_fabric
 
-        monitor = ShardedMonitor(two_relation_db(), shards=2)
+        monitor = thread_fabric(two_relation_db, shards=2)
         service = ConstraintService(monitor, metrics=MetricsRegistry())
         handle = serve_in_thread(service)
         try:
@@ -210,8 +210,8 @@ class TestShardedService:
                 ) == ["on-r"]
                 assert client.ping()["pong"] is True
                 text = client.metrics_text()
-                assert 'repro_shard_constraints{shard="0"} 1' in text
-                assert 'repro_shard_constraints{shard="1"} 1' in text
+                assert 'repro_fabric_shard_constraints{shard="0"} 1' in text
+                assert 'repro_fabric_shard_constraints{shard="1"} 1' in text
         finally:
             handle.stop()
             monitor.close()
