@@ -45,7 +45,7 @@ from repro.core.tractable import (
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
 from repro.obs.trace import span as obs_span
-from repro.query.analysis import is_connected, is_monotone
+from repro.query.analysis import CompiledConstraint, compile_constraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.relational.transaction import Transaction
@@ -92,7 +92,7 @@ class DCSatChecker:
         """A user issued a new transaction: add it to the pending set."""
         self.workspace.issue(tx)
         self.fd_graph.add_transaction(tx.tx_id)
-        self.ind_graph.invalidate()
+        self.ind_graph.issue(tx.tx_id)
         self.backend.on_issue(tx)
         self.epoch += 1
 
@@ -101,7 +101,7 @@ class DCSatChecker:
         tx = self.workspace.commit(tx_id)
         self.fd_graph.remove_transaction(tx_id)
         self.fd_graph.refresh_after_commit()
-        self.ind_graph.invalidate()
+        self.ind_graph.commit(tx_id)
         self.backend.on_commit(tx)
         self.epoch += 1
         return tx
@@ -110,7 +110,7 @@ class DCSatChecker:
         """Drop a pending transaction without committing it."""
         tx = self.workspace.forget(tx_id)
         self.fd_graph.remove_transaction(tx_id)
-        self.ind_graph.invalidate()
+        self.ind_graph.forget(tx_id)
         self.backend.on_forget(tx)
         self.epoch += 1
         return tx
@@ -125,7 +125,7 @@ class DCSatChecker:
         """
         self.workspace.absorb(tx)
         self.fd_graph.refresh_after_commit()
-        self.ind_graph.invalidate()
+        self.ind_graph.absorb()
         self.backend.on_commit(tx)
         self.epoch += 1
 
@@ -143,9 +143,22 @@ class DCSatChecker:
             return parse_query(query)
         return query
 
+    def compile(
+        self,
+        query: ConjunctiveQuery | AggregateQuery | CompiledConstraint | str,
+        normalize: bool = True,
+    ) -> CompiledConstraint:
+        """Parse, normalize and wrap *query* for repeated checks; a
+        compiled constraint is returned as is."""
+        if isinstance(query, CompiledConstraint):
+            return query
+        return compile_constraint(
+            self._parse(query), normalize, self.assume_nonnegative_sums
+        )
+
     def check(
         self,
-        query: ConjunctiveQuery | AggregateQuery | str,
+        query: ConjunctiveQuery | AggregateQuery | CompiledConstraint | str,
         algorithm: str = "auto",
         short_circuit: bool = True,
         use_coverage: bool = True,
@@ -159,27 +172,24 @@ class DCSatChecker:
         constraint can be violated, ``result.witness`` holds the pending
         transactions of a violating possible world.  With ``normalize``
         (default) the query is first simplified; a provably
-        unsatisfiable query is answered without touching the data.
+        unsatisfiable query is answered without touching the data.  A
+        :class:`~repro.query.analysis.CompiledConstraint` (from
+        :meth:`compile`) carries its own normalization and analyses.
         """
         if algorithm not in ALGORITHMS:
             raise AlgorithmError(
                 f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
             )
-        query = self._parse(query)
+        constraint = self.compile(query, normalize)
         stats = DCSatStats(algorithm=algorithm if algorithm != "auto" else "")
-        if normalize:
-            from repro.query.rewriter import Verdict
-            from repro.query.rewriter import normalize as normalize_query
-
-            query, verdict = normalize_query(query)
-            if verdict is Verdict.UNSATISFIABLE:
-                stats.algorithm = "rewrite"
-                return DCSatResult(satisfied=True, stats=stats)
+        if constraint.unsatisfiable:
+            stats.algorithm = "rewrite"
+            return DCSatResult(satisfied=True, stats=stats)
         started = time.perf_counter()
         with obs_span("dcsat.check", requested=algorithm) as sp:
             try:
                 return self._check(
-                    query, algorithm, short_circuit, use_coverage, pivot,
+                    constraint, algorithm, short_circuit, use_coverage, pivot,
                     pending_limit, stats,
                 )
             finally:
@@ -189,7 +199,7 @@ class DCSatChecker:
 
     def _check(
         self,
-        query: ConjunctiveQuery | AggregateQuery,
+        constraint: CompiledConstraint,
         algorithm: str,
         short_circuit: bool,
         use_coverage: bool,
@@ -197,14 +207,15 @@ class DCSatChecker:
         pending_limit: int,
         stats: DCSatStats,
     ) -> DCSatResult:
-        monotone = is_monotone(query, self.assume_nonnegative_sums)
+        query = constraint.query
+        monotone = constraint.monotone
 
         decided = self.fast_paths(query, monotone, short_circuit, stats)
         if decided is not None:
             return decided
 
         if algorithm == "auto":
-            algorithm = self._pick_algorithm(query, monotone)
+            algorithm = self._pick_algorithm(constraint)
             stats.algorithm = algorithm
 
         if algorithm == "naive":
@@ -216,7 +227,7 @@ class DCSatChecker:
         if algorithm == "opt":
             self._require_monotone(query, monotone, "OptDCSat")
             return opt_dcsat(
-                self.workspace, self.fd_graph, self.ind_graph, query,
+                self.workspace, self.fd_graph, self.ind_graph, constraint,
                 self.engine, pivot=pivot, use_coverage=use_coverage,
                 stats=stats,
             )
@@ -278,11 +289,10 @@ class DCSatChecker:
                 f"{query!s} is not (or cannot be verified) monotone"
             )
 
-    def _pick_algorithm(
-        self, query: ConjunctiveQuery | AggregateQuery, monotone: bool
-    ) -> str:
-        if monotone:
-            if is_connected(query):
+    def _pick_algorithm(self, constraint: CompiledConstraint) -> str:
+        query = constraint.query
+        if constraint.monotone:
+            if constraint.connected:
                 return "opt"
             return "naive"
         constraints = self.db.constraints

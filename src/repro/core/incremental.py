@@ -18,7 +18,9 @@ components untouched:
   (witness included) is *exactly* what a fresh sweep would produce.
   Components that did change surface as key misses: the ledger keys each
   sub-verdict by the frozenset of member transaction ids, and the
-  survivors are recomputed fresh on every status call.
+  survivors are read off a component partition the ind-graph maintains
+  across writes (:meth:`~repro.core.ind_graph.IndQTransactionGraph.pin`),
+  visiting only components that can cover the query's constants.
 
 * **commit / absorb** grow the committed state, which can flip
   IND-appendability (and hence world membership) inside *any* component

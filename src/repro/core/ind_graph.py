@@ -10,62 +10,119 @@ contributing a tuple of ``S`` projecting to ``v`` — i.e. per projected
 value, all contributors on both sides fall in one component (they are
 pairwise linked through any contributor of the opposite side).
 
-The Θ_I part is precomputed in the steady state; Θ_q edges are added per
-query on top of a cheap clone of the union-find.
+The Θ_I partition is kept in the steady state, and so is one Θ_I ∪ Θ_q
+partition per Θ_q *signature* a standing constraint pins
+(:meth:`IndQTransactionGraph.pin`).  Both are maintained across writes
+rather than rebuilt: ``issue(t)`` only adds edges at the values ``t``
+projects to, so it only merges; ``commit(t)`` and ``forget(t)`` only
+remove ``t``'s edges, so only the component that held ``t`` can split,
+and only that component is rebuilt.  One-shot queries still get their
+Θ_q edges applied to a clone of the Θ_I partition.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.workspace import Workspace
+from repro.obs.trace import span as obs_span
 from repro.query.analysis import (
+    CompiledConstraint,
     EqualityConstraint,
     equality_constraints_from_inds,
     equality_constraints_from_query,
 )
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
+from repro.relational.relation import project
+
+Query = ConjunctiveQuery | AggregateQuery | CompiledConstraint
 
 
 class _UnionFind:
-    """Union-find with path halving; supports cheap cloning."""
+    """Union-find over transaction ids with explicit member sets.
 
-    __slots__ = ("parent",)
+    Each component is one set under a representative member.  A union
+    relabels the smaller side (union by size), so ``find`` is one dict
+    lookup, ``members`` answers "who shares t's component" directly, and
+    one component can be taken apart without touching the others.
+    """
 
-    def __init__(self, parent: dict[str, str] | None = None):
-        self.parent: dict[str, str] = dict(parent) if parent else {}
+    __slots__ = ("root", "members")
+
+    def __init__(self):
+        self.root: dict[str, str] = {}
+        self.members: dict[str, set[str]] = {}
 
     def add(self, item: str) -> None:
-        self.parent.setdefault(item, item)
+        if item not in self.root:
+            self.root[item] = item
+            self.members[item] = {item}
 
     def find(self, item: str) -> str:
-        self.parent.setdefault(item, item)
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
+        self.add(item)
+        return self.root[item]
 
     def union(self, a: str, b: str) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        if ra == rb:
+            return
+        big, small = self.members[ra], self.members[rb]
+        if len(big) < len(small):
+            ra, rb, big, small = rb, ra, small, big
+        big |= small
+        root = self.root
+        for item in small:
+            root[item] = ra
+        del self.members[rb]
 
     def union_all(self, items) -> None:
         items = list(items)
         for other in items[1:]:
             self.union(items[0], other)
 
+    def split(self, item: str) -> set[str]:
+        """Remove *item*; the rest of its component becomes singletons.
+
+        Returns those former co-members, which the caller re-links.
+        """
+        members = self.members.pop(self.root.pop(item))
+        members.discard(item)
+        for other in members:
+            self.root[other] = other
+            self.members[other] = {other}
+        return members
+
     def components(self) -> list[frozenset[str]]:
-        groups: dict[str, set[str]] = {}
-        for item in self.parent:
-            groups.setdefault(self.find(item), set()).add(item)
         # Deterministic component order (lowest member first): the
         # evaluation-plan stream — and hence backend parity and the
         # reported witness — must not depend on hash randomization.
-        return sorted((frozenset(g) for g in groups.values()), key=min)
+        return sorted((frozenset(g) for g in self.members.values()), key=min)
 
     def clone(self) -> "_UnionFind":
-        return _UnionFind(self.parent)
+        copy = _UnionFind()
+        copy.root = dict(self.root)
+        copy.members = {rep: set(group) for rep, group in self.members.items()}
+        return copy
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+class _Pinned:
+    """One maintained Θ_I ∪ Θ_q partition and the entries holding it."""
+
+    __slots__ = ("pins", "constraints", "partition")
+
+    def __init__(self, constraints: frozenset[EqualityConstraint]):
+        self.pins = 0
+        self.constraints = constraints
+        self.partition: _UnionFind | None = None
+
+
+def _equalities(query: Query) -> frozenset[EqualityConstraint]:
+    if isinstance(query, CompiledConstraint):
+        return query.equalities
+    return equality_constraints_from_query(query)
 
 
 class IndQTransactionGraph:
@@ -77,61 +134,219 @@ class IndQTransactionGraph:
             workspace.db.constraints
         )
         self._base_uf: _UnionFind | None = None
+        self._pinned: dict[frozenset[EqualityConstraint], _Pinned] = {}
+        #: Workspace version the built partitions reflect; a version
+        #: moved by anything but the maintenance calls below (a direct
+        #: workspace write) drops them all.
+        self._version = workspace.version
 
     # ------------------------------------------------------------------
-    # Steady-state maintenance
+    # The edge rule
 
-    def invalidate(self) -> None:
-        """Drop the precomputed Θ_I union-find (pending set changed)."""
-        self._base_uf = None
+    def _groups(
+        self,
+        constraint: EqualityConstraint,
+        tx_ids: Iterable[str] | None = None,
+    ) -> list[set[str]]:
+        """The edge rule: the transaction groups one equality constraint
+        puts in a single component.
 
-    def _apply_constraint(
-        self, uf: _UnionFind, constraint: EqualityConstraint
-    ) -> None:
+        Per projected value, the pending contributors of both sides form
+        one group when both sides have one.  With *tx_ids*, only the
+        values those transactions' facts project to are visited — every
+        group they belong to, and no other.
+        """
         left = self._workspace.pending_projections(
             constraint.left, constraint.left_positions
         )
         right = self._workspace.pending_projections(
             constraint.right, constraint.right_positions
         )
-        # Iterate the smaller side for speed; the semantics are symmetric.
-        if len(left) > len(right):
-            left, right = right, left
-        for key, group_a in left.items():
+        if tx_ids is None:
+            # Iterate the smaller side for speed; the rule is symmetric.
+            keys = left if len(left) <= len(right) else right
+        else:
+            keys = set()
+            db = self._workspace.db
+            for tx_id in tx_ids:
+                tx = db.transaction(tx_id)
+                for values in tx.tuples(constraint.left):
+                    keys.add(project(values, constraint.left_positions))
+                for values in tx.tuples(constraint.right):
+                    keys.add(project(values, constraint.right_positions))
+        groups = []
+        for key in keys:
+            group_a = left.get(key)
             group_b = right.get(key)
-            if group_b:
+            if group_a and group_b:
                 combined = group_a | group_b
                 if len(combined) > 1:
-                    uf.union_all(combined)
+                    groups.append(combined)
+        return groups
+
+    def _link(
+        self,
+        uf: _UnionFind,
+        constraints: Iterable[EqualityConstraint],
+        tx_ids: Iterable[str] | None = None,
+    ) -> None:
+        for constraint in constraints:
+            for group in self._groups(constraint, tx_ids):
+                uf.union_all(group)
+
+    def _build(self, constraints: Iterable[EqualityConstraint]) -> _UnionFind:
+        uf = self._ind_union_find().clone()
+        self._link(uf, constraints)
+        return uf
+
+    # ------------------------------------------------------------------
+    # Steady-state maintenance
+
+    def invalidate(self) -> None:
+        """Drop every built partition; each rebuilds on its next use."""
+        self._base_uf = None
+        for pinned in self._pinned.values():
+            pinned.partition = None
+        self._version = self._workspace.version
+
+    def _sync(self) -> None:
+        if self._version != self._workspace.version:
+            self.invalidate()
+
+    def _maintained(self) -> list[tuple[_UnionFind, frozenset[EqualityConstraint]]]:
+        built = []
+        if self._base_uf is not None:
+            built.append((self._base_uf, self._ind_constraints))
+        for pinned in self._pinned.values():
+            if pinned.partition is not None:
+                built.append((pinned.partition, pinned.constraints))
+        return built
+
+    def _maintain(self, op: str, tx_id: str | None) -> None:
+        """Carry the built partitions across one workspace write."""
+        if self._version != self._workspace.version - 1:
+            self.invalidate()
+            return
+        self._version = self._workspace.version
+        built = self._maintained()
+        if not built or tx_id is None:
+            return
+        with obs_span("ind_graph.maintain", op=op, partitions=len(built)):
+            if op == "issue":
+                # The new edges all run through tx_id and are the same
+                # for every partition whose constraints include them.
+                groups: dict[EqualityConstraint, list[set[str]]] = {}
+                for uf, constraints in built:
+                    uf.add(tx_id)
+                    for constraint in constraints:
+                        if constraint not in groups:
+                            groups[constraint] = self._groups(
+                                constraint, (tx_id,)
+                            )
+                        for group in groups[constraint]:
+                            uf.union_all(group)
+                return
+            for uf, constraints in built:
+                # Θ has pending-to-pending edges only: the departed
+                # transaction's component may split, no other changes.
+                rest = uf.split(tx_id)
+                if rest:
+                    self._link(uf, constraints, rest)
+
+    def issue(self, tx_id: str) -> None:
+        """*tx_id* joined the pending set (after the workspace indexed it)."""
+        self._maintain("issue", tx_id)
+
+    def commit(self, tx_id: str) -> None:
+        """*tx_id* left the pending set into the committed state."""
+        self._maintain("commit", tx_id)
+
+    def forget(self, tx_id: str) -> None:
+        """*tx_id* left the pending set."""
+        self._maintain("forget", tx_id)
+
+    def absorb(self) -> None:
+        """Facts went straight into the committed state: Θ joins only
+        pending facts, so no partition changes."""
+        self._maintain("absorb", None)
 
     def _ind_union_find(self) -> _UnionFind:
+        self._sync()
         if self._base_uf is None:
             uf = _UnionFind()
             for tx_id in self._workspace.db.pending_ids:
                 uf.add(tx_id)
-            for constraint in self._ind_constraints:
-                self._apply_constraint(uf, constraint)
+            self._link(uf, self._ind_constraints)
             self._base_uf = uf
         return self._base_uf
 
     # ------------------------------------------------------------------
+    # Pinned per-signature partitions
+
+    def pin(self, query: Query) -> frozenset[EqualityConstraint]:
+        """Keep the Θ_I ∪ Θ_q partition of *query* maintained.
+
+        Queries with equal Θ_q share one partition; returns that
+        signature, which the caller hands back to :meth:`release`.
+        """
+        signature = _equalities(query)
+        pinned = self._pinned.get(signature)
+        if pinned is None:
+            pinned = self._pinned[signature] = _Pinned(
+                self._ind_constraints | signature
+            )
+        pinned.pins += 1
+        return signature
+
+    def release(self, signature: frozenset[EqualityConstraint]) -> None:
+        """Undo one :meth:`pin`; the last release drops the partition."""
+        pinned = self._pinned[signature]
+        pinned.pins -= 1
+        if not pinned.pins:
+            del self._pinned[signature]
+
+    @property
+    def pinned(self) -> frozenset[frozenset[EqualityConstraint]]:
+        """The Θ_q signatures with a maintained partition."""
+        return frozenset(self._pinned)
+
+    @property
+    def partition_count(self) -> int:
+        """Live maintained partitions: Θ_I plus each built pinned one.
+
+        Read-only, so a metrics scrape may call it from another thread.
+        """
+        pinned = list(self._pinned.values())
+        return (self._base_uf is not None) + sum(
+            entry.partition is not None for entry in pinned
+        )
+
+    def partition(self, query: Query) -> _UnionFind | None:
+        """The maintained Θ_I ∪ Θ_q partition of *query*, built on first
+        use, or ``None`` when no entry pins its signature."""
+        pinned = self._pinned.get(_equalities(query))
+        if pinned is None:
+            return None
+        self._sync()
+        if pinned.partition is None:
+            pinned.partition = self._build(pinned.constraints - self._ind_constraints)
+        return pinned.partition
+
+    # ------------------------------------------------------------------
     # Per-query components
 
-    def components(
-        self, query: ConjunctiveQuery | AggregateQuery | None = None
-    ) -> list[frozenset[str]]:
+    def components(self, query: Query | None = None) -> list[frozenset[str]]:
         """Connected components of ``G^{q,ind}_T``.
 
         With ``query=None`` this is ``G^ind_T`` (the precomputed part of
         Figure 3); otherwise the Θ_q edges of the query are added.
         """
-        base = self._ind_union_find()
         if query is None:
-            return base.components()
-        uf = base.clone()
-        for constraint in equality_constraints_from_query(query):
-            self._apply_constraint(uf, constraint)
-        return uf.components()
+            return self._ind_union_find().components()
+        maintained = self.partition(query)
+        if maintained is not None:
+            return maintained.components()
+        return self._build(_equalities(query)).components()
 
     def __repr__(self) -> str:
         components = self._ind_union_find().components()

@@ -32,7 +32,7 @@ from repro.core.results import DCSatResult, DCSatStats
 from repro.errors import ReproError
 from repro.obs.perf import default_cost_model
 from repro.obs.trace import span as obs_span
-from repro.query.analysis import is_connected, is_monotone
+from repro.query.analysis import CompiledConstraint, is_monotone
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.relational.constraints import ConstraintSet
@@ -82,7 +82,14 @@ def coupled_relations(
 
 @dataclass
 class MonitorEntry:
-    """One registered constraint and its cached verdict."""
+    """One registered constraint and its cached verdict.
+
+    ``compiled`` and ``ledger`` are filled on the entry's first check
+    (not at registration, which stays as cheap as storing the query):
+    the analysed constraint, and whether the verdict ledger maintains
+    it.  ``signature`` names the Θ_I ∪ Θ_q partition a ledger entry
+    pins in the checker's ind-graph until it unregisters.
+    """
 
     name: str
     query: ConjunctiveQuery | AggregateQuery
@@ -90,6 +97,9 @@ class MonitorEntry:
     result: DCSatResult | None = None
     checks_run: int = 0
     cache_hits: int = 0
+    compiled: CompiledConstraint | None = None
+    ledger: bool = False
+    signature: frozenset | None = None
 
     @property
     def relations(self) -> frozenset[str]:
@@ -126,6 +136,9 @@ class ConstraintMonitor:
         #: Same counts accumulated until the constraint's next check
         #: (several ops can land between two status calls).
         self._dirty_since_check: dict[str, int] = {}
+        #: ``denial_subsumes(covering, covered)`` answers by covered
+        #: name, then covering name: registered queries never change.
+        self._subsumes: dict[str, dict[str, bool]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -153,12 +166,18 @@ class ConstraintMonitor:
     def unregister(self, name: str) -> None:
         if name not in self._entries:
             raise ReproError(f"no constraint named {name!r}")
-        del self._entries[name]
+        entry = self._entries.pop(name)
         # Long-lived servers churn constraints: drop the per-constraint
         # state that would otherwise outlive the registration (ledger
-        # sub-verdicts here; the server additionally removes its
-        # labelled latency series).
+        # sub-verdicts, the pinned partition and subsumption answers
+        # here; the server additionally removes its labelled latency
+        # series).
         self.ledger.drop(name)
+        if entry.signature is not None:
+            self.checker.ind_graph.release(entry.signature)
+        self._subsumes.pop(name, None)
+        for answers in self._subsumes.values():
+            answers.pop(name, None)
         self._dirty_since_check.pop(name, None)
         self.last_dirty_components.pop(name, None)
 
@@ -191,6 +210,7 @@ class ConstraintMonitor:
 
         if not isinstance(entry.query, ConjunctiveQuery) or not entry.query.is_positive:
             return None
+        answers = self._subsumes.setdefault(entry.name, {})
         for other in self._entries.values():
             if other is entry or other.result is None:
                 continue
@@ -200,7 +220,12 @@ class ConstraintMonitor:
                 continue
             if not other.query.is_positive:
                 continue
-            if denial_subsumes(other.query, entry.query):
+            subsumes = answers.get(other.name)
+            if subsumes is None:
+                subsumes = answers[other.name] = denial_subsumes(
+                    other.query, entry.query
+                )
+            if subsumes:
                 return other.name
         return None
 
@@ -283,32 +308,42 @@ class ConstraintMonitor:
             return False
         if entry.check_kwargs.get("algorithm", "auto") not in ("auto", "opt"):
             return False
-        query = entry.query
-        return is_monotone(
-            query, self.checker.assume_nonnegative_sums
-        ) and is_connected(query)
+        return entry.compiled.monotone and entry.compiled.connected
+
+    def _compile(self, entry: MonitorEntry) -> CompiledConstraint:
+        """The entry's compiled constraint, made on its first check.
+
+        A ledger entry with a satisfiable query also pins its Θ_I ∪ Θ_q
+        partition, so later checks read components the writes maintain.
+        """
+        if entry.compiled is None:
+            entry.compiled = self.checker.compile(
+                entry.query, entry.check_kwargs.get("normalize", True)
+            )
+            entry.ledger = self._incremental_eligible(entry)
+            if entry.ledger and not entry.compiled.unsatisfiable:
+                entry.signature = self.checker.ind_graph.pin(entry.compiled)
+        return entry.compiled
 
     def _check_entry(self, entry: MonitorEntry) -> DCSatResult:
-        if self._incremental_eligible(entry):
-            return self._check_incremental(entry)
+        constraint = self._compile(entry)
+        if entry.ledger:
+            return self._check_incremental(entry, constraint)
         self._dirty_since_check.pop(entry.name, None)
-        return self.checker.check(entry.query, **entry.check_kwargs)
+        return self.checker.check(constraint, **entry.check_kwargs)
 
-    def _check_incremental(self, entry: MonitorEntry) -> DCSatResult:
+    def _check_incremental(
+        self, entry: MonitorEntry, constraint: CompiledConstraint
+    ) -> DCSatResult:
         """OptDCSat with the ledger consulted per surviving component."""
         checker = self.checker
         kwargs = entry.check_kwargs
         stats = DCSatStats()
         stats.dirty_components = self._dirty_since_check.pop(entry.name, 0)
-        query = entry.query
-        if kwargs.get("normalize", True):
-            from repro.query.rewriter import Verdict
-            from repro.query.rewriter import normalize as normalize_query
-
-            query, verdict = normalize_query(query)
-            if verdict is Verdict.UNSATISFIABLE:
-                stats.algorithm = "rewrite"
-                return DCSatResult(satisfied=True, stats=stats)
+        if constraint.unsatisfiable:
+            stats.algorithm = "rewrite"
+            return DCSatResult(satisfied=True, stats=stats)
+        query = constraint.query
         started = time.perf_counter()
         with obs_span("dcsat.check", requested="opt-ledger") as sp:
             try:
@@ -322,7 +357,7 @@ class ConstraintMonitor:
                     checker.workspace,
                     checker.fd_graph,
                     checker.ind_graph,
-                    query,
+                    constraint,
                     use_coverage=kwargs.get("use_coverage", True),
                     stats=stats,
                 )

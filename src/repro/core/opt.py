@@ -37,7 +37,7 @@ from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
 from repro.obs.perf import CostModel
 from repro.obs.trace import span as obs_span
-from repro.query.analysis import constant_patterns, is_connected
+from repro.query.analysis import CompiledConstraint, compile_constraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 
 
@@ -45,7 +45,7 @@ def component_survivors(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     ind_graph: IndQTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery,
+    query: ConjunctiveQuery | AggregateQuery | CompiledConstraint,
     use_coverage: bool = True,
     stats: DCSatStats | None = None,
 ) -> list[set[str]]:
@@ -55,37 +55,76 @@ def component_survivors(
     no worlds); restrict every component to fd-graph nodes.  Coverage
     filtering happens for every component up front (the cheap test),
     then only the surviving components pay for clique enumeration.
+    Survivors come in component order (lowest member first).
+
+    When a standing constraint pinned the query's partition
+    (:meth:`IndQTransactionGraph.pin`) and some constant pattern has no
+    match in ``R``, only the components holding a pending contributor of
+    that pattern can cover it: those are the only ones visited, and the
+    rest count as pruned without being looked at.
 
     Each survivor is an independent unit of work (Proposition 2: no
     satisfying assignment spans two components), which is exactly what
     :mod:`repro.service.pool` fans out across worker processes.
     """
-    patterns = constant_patterns(query)
+    constraint = compile_constraint(query, normalize_query=False)
+    patterns = constraint.patterns
     survivors: list[set[str]] = []
     with obs_span("component_prune") as sp:
-        total = pruned = 0
-        for component in ind_graph.components(query):
-            total += 1
-            if stats is not None:
-                stats.components_total += 1
+        partition = ind_graph.partition(constraint)
+        if partition is None:
+            components = ind_graph.components(constraint)
+            total = len(components)
+        else:
+            components = _candidate_components(
+                workspace, partition, patterns if use_coverage else ()
+            )
+            total = len(partition)
+        for component in components:
             candidates = component & fd_graph.nodes
             if not candidates:
-                pruned += 1
-                if stats is not None:
-                    stats.components_pruned += 1
                 continue
             if use_coverage and not covers(workspace, candidates, patterns):
-                pruned += 1
-                if stats is not None:
-                    stats.components_pruned += 1
                 continue
-            if stats is not None:
+            survivors.append(candidates)
+        pruned = total - len(survivors)
+        if stats is not None:
+            stats.components_total += total
+            stats.components_pruned += pruned
+            for candidates in survivors:
                 stats.max_component_size = max(
                     stats.max_component_size, len(candidates)
                 )
-            survivors.append(candidates)
         sp.set(components=total, pruned=pruned, survivors=len(survivors))
     return survivors
+
+
+def _candidate_components(
+    workspace: Workspace, partition, patterns
+) -> list[set[str]]:
+    """The maintained components that can cover *patterns*, in order.
+
+    A pattern with no match in ``R`` is covered only through one of its
+    pending contributors, so the components holding the fewest such
+    contributors are a superset of the survivors.
+    """
+    contributors = None
+    for pattern in patterns:
+        if workspace.base[pattern.relation].lookup(pattern.positions, pattern.values):
+            continue
+        found = workspace.pending_projections(
+            pattern.relation, pattern.positions
+        ).get(pattern.values, ())
+        if contributors is None or len(found) < len(contributors):
+            contributors = found
+    if contributors is None:
+        groups = partition.members.values()
+    else:
+        groups = {
+            partition.root[tx_id]: partition.members[partition.root[tx_id]]
+            for tx_id in contributors
+        }.values()
+    return sorted(groups, key=min)
 
 
 def solve_component(
@@ -164,7 +203,7 @@ def opt_dcsat(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     ind_graph: IndQTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery,
+    query: ConjunctiveQuery | AggregateQuery | CompiledConstraint,
     engine: SyncEngine,
     pivot: bool = True,
     use_coverage: bool = True,
@@ -177,7 +216,9 @@ def opt_dcsat(
     ``check_connected=False`` skips the connectivity validation (callers
     that already verified it).
     """
-    if check_connected and not is_connected(query):
+    constraint = compile_constraint(query, normalize_query=False)
+    query = constraint.query
+    if check_connected and not constraint.connected:
         raise AlgorithmError(
             "OptDCSat requires a connected conjunctive query; "
             f"{query!s} is not connected"
@@ -185,7 +226,7 @@ def opt_dcsat(
     stats = stats if stats is not None else DCSatStats()
     stats.algorithm = stats.algorithm or "opt"
     survivors = component_survivors(
-        workspace, fd_graph, ind_graph, query,
+        workspace, fd_graph, ind_graph, constraint,
         use_coverage=use_coverage, stats=stats,
     )
     for index, candidates in enumerate(survivors):

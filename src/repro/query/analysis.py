@@ -12,6 +12,10 @@ Provides the ingredients of Section 6:
 * *constant patterns* — the per-atom constant positions behind the
   ``Covers(R, T', q)`` pruning test.
 
+:func:`compile_constraint` bundles them into a
+:class:`CompiledConstraint`, so a standing constraint is analysed once
+instead of on every check.
+
 Reproduction note: the paper derives Θ_q from shared *variables* only,
 while its Gaifman graph is over *terms*.  We follow the Gaifman-graph
 reading and also pair positions holding equal constants — without this,
@@ -22,6 +26,7 @@ across components and OptDCSat would miss violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.query.ast import (
     AggregateQuery,
@@ -31,6 +36,7 @@ from repro.query.ast import (
     Term,
     Variable,
 )
+from repro.query.rewriter import Verdict, normalize
 from repro.relational.constraints import ConstraintSet
 
 
@@ -241,3 +247,59 @@ def constant_patterns(
             values = tuple(v for _, v in pairs)
             patterns.append(ConstantPattern(atom.relation, positions, values))
     return tuple(patterns)
+
+
+class CompiledConstraint:
+    """A denial constraint's query with its analyses done once.
+
+    ``query`` is the normalized query (the input itself when compiled
+    without normalization) and ``unsatisfiable`` the rewriter's verdict
+    that it can never hold.  The analyses are computed on first use and
+    then kept: a standing constraint pays for each at most once, and a
+    one-shot check pays only for the ones its algorithm reads.
+    """
+
+    def __init__(
+        self,
+        query: ConjunctiveQuery | AggregateQuery,
+        unsatisfiable: bool = False,
+        assume_nonnegative_sums: bool = False,
+    ):
+        self.query = query
+        self.unsatisfiable = unsatisfiable
+        self.assume_nonnegative_sums = assume_nonnegative_sums
+
+    @cached_property
+    def monotone(self) -> bool:
+        return is_monotone(self.query, self.assume_nonnegative_sums)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.query)
+
+    @cached_property
+    def equalities(self) -> frozenset[EqualityConstraint]:
+        """Θ_q, which also names the constraint's component partition."""
+        return equality_constraints_from_query(self.query)
+
+    @cached_property
+    def patterns(self) -> tuple[ConstantPattern, ...]:
+        return constant_patterns(self.query)
+
+    def __repr__(self) -> str:
+        return f"CompiledConstraint({self.query!s})"
+
+
+def compile_constraint(
+    query: ConjunctiveQuery | AggregateQuery | CompiledConstraint,
+    normalize_query: bool = True,
+    assume_nonnegative_sums: bool = False,
+) -> CompiledConstraint:
+    """The compiled form of *query*; a compiled input is returned as is."""
+    if isinstance(query, CompiledConstraint):
+        return query
+    unsatisfiable = False
+    if normalize_query:
+        query, verdict = normalize(query)
+        unsatisfiable = verdict is Verdict.UNSATISFIABLE
+    return CompiledConstraint(query, unsatisfiable, assume_nonnegative_sums)

@@ -76,7 +76,7 @@ from repro.obs.log import get_logger
 from repro.obs.perf import CostModel, default_cost_model
 from repro.obs.trace import default_tracer
 from repro.obs.trace import span as obs_span
-from repro.query.analysis import is_connected, is_monotone
+from repro.query.analysis import CompiledConstraint, is_monotone
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 from repro.relational.transaction import Transaction
 from repro.service.metrics import default_registry
@@ -496,7 +496,7 @@ class SolverPool:
 
     def check(
         self,
-        query: Query | str,
+        query: Query | CompiledConstraint | str,
         short_circuit: bool = True,
         use_coverage: bool = True,
         pivot: bool = True,
@@ -507,23 +507,19 @@ class SolverPool:
         Requires a monotone, connected query (the OptDCSat scope).
         """
         checker = self.checker
-        query = checker._parse(query)
+        constraint = checker.compile(query, normalize)
+        query = constraint.query
         stats = DCSatStats(algorithm="opt-pool")
-        if normalize:
-            from repro.query.rewriter import Verdict
-            from repro.query.rewriter import normalize as normalize_query
-
-            query, verdict = normalize_query(query)
-            if verdict is Verdict.UNSATISFIABLE:
-                stats.algorithm = "rewrite"
-                return DCSatResult(satisfied=True, stats=stats)
-        monotone = is_monotone(query, checker.assume_nonnegative_sums)
+        if constraint.unsatisfiable:
+            stats.algorithm = "rewrite"
+            return DCSatResult(satisfied=True, stats=stats)
+        monotone = constraint.monotone
         if not monotone:
             raise AlgorithmError(
                 "the solver pool runs OptDCSat, which is only sound for "
                 f"monotone denial constraints; {query!s} is not"
             )
-        if not is_connected(query):
+        if not constraint.connected:
             raise AlgorithmError(
                 "OptDCSat requires a connected conjunctive query; "
                 f"{query!s} is not connected"
@@ -538,7 +534,7 @@ class SolverPool:
                     checker.workspace,
                     checker.fd_graph,
                     checker.ind_graph,
-                    query,
+                    constraint,
                     use_coverage=use_coverage,
                     stats=stats,
                 )
@@ -908,16 +904,13 @@ class PooledDCSatChecker(DCSatChecker):
 
     def check(self, query, algorithm: str = "auto", **kwargs) -> DCSatResult:
         if self.pool.max_workers > 1 and algorithm in ("auto", "opt"):
-            parsed = self._parse(query)
             pool_kwargs_ok = set(kwargs) <= {
                 "short_circuit", "use_coverage", "pivot", "normalize",
             }
-            if (
-                pool_kwargs_ok
-                and is_monotone(parsed, self.assume_nonnegative_sums)
-                and is_connected(parsed)
-            ):
-                return self.pool.check(parsed, **kwargs)
+            if pool_kwargs_ok:
+                query = self.compile(query, kwargs.get("normalize", True))
+                if query.monotone and query.connected:
+                    return self.pool.check(query, **kwargs)
         return super().check(query, algorithm=algorithm, **kwargs)
 
     def check_batch(self, queries, short_circuit=True, pivot=True):

@@ -315,6 +315,12 @@ class ConstraintService:
                     "Verdict-ledger lifecycle counters, by event.",
                     labels={"event": key},
                 ).set(value)
+        ind_graph = getattr(getattr(self.monitor, "checker", None), "ind_graph", None)
+        if ind_graph is not None:
+            m.gauge(
+                "repro_ind_partitions",
+                "Component partitions the ind-graph maintains across writes.",
+            ).set(ind_graph.partition_count)
         export_gauges = getattr(self.monitor, "export_gauges", None)
         if callable(export_gauges):
             export_gauges(m)

@@ -154,3 +154,101 @@ class TestHashSeedIndependence:
                 )
         for family, seen in outputs.items():
             assert len(seen) == 1, f"{family}: {len(seen)} distinct outputs"
+
+
+#: Replayed ops per perfbench workload: 50 churn events (one write, six
+#: statuses each) and four paper_queries weight blocks (every family).
+REPLAY_PREFIX = {"churn": 350, "paper_queries": 288}
+
+#: Replays a perfbench trace prefix through one monitor and prints one
+#: JSON line per op: invalidation lists and dirtied components for
+#: writes, verdict, witness and stats (timings dropped) for statuses.
+REPLAY_PROGRAM = """
+import json, sys
+from repro import serialize
+from repro.core.checker import DCSatChecker
+from repro.core.monitor import ConstraintMonitor
+from repro.service import protocol
+
+directory = sys.argv[1]
+trace = json.load(open(directory + "/trace.json"))
+checker = DCSatChecker(
+    serialize.load(directory + "/db.json"),
+    assume_nonnegative_sums="--assume-nonnegative-sums" in trace["server_args"],
+)
+monitor = ConstraintMonitor(checker)
+for op in trace["setup"] + trace["ops"]:
+    kind, args = op["op"], op["args"]
+    if kind == "register":
+        out = sorted(monitor.register(args["name"], args["query"]).relations)
+    elif kind == "unregister":
+        out = monitor.unregister(args["name"])
+    elif kind == "status":
+        out = protocol.result_to_wire(monitor.status(args["name"]))
+        del out["stats"]["elapsed_seconds"]
+    else:
+        if kind == "issue":
+            invalidated = monitor.issue(protocol.transaction_from_wire(args["tx"]))
+        else:
+            invalidated = getattr(monitor, kind)(args["tx_id"])
+        out = [invalidated, monitor.last_dirty_components]
+    print(json.dumps([kind, out], sort_keys=True))
+"""
+
+
+class TestReplayHashSeedIndependence:
+    """A sequential replay of the perfbench workloads answers the same
+    under any hash seed: verdicts, witnesses, ``DCSatStats`` counters
+    and invalidation lists."""
+
+    @pytest.fixture(scope="class")
+    def trace_dirs(self, tmp_path_factory):
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        from repro import serialize
+
+        path = Path(__file__).resolve().parents[2] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        root = tmp_path_factory.mktemp("replay")
+        dirs = {}
+        for workload, prefix in REPLAY_PREFIX.items():
+            db, trace = workloads.GENERATORS[workload](1)
+            trace["ops"] = trace["ops"][:prefix]
+            directory = root / workload
+            directory.mkdir()
+            serialize.dump(db, str(directory / "db.json"))
+            (directory / "trace.json").write_text(json.dumps(trace))
+            dirs[workload] = str(directory)
+        return dirs
+
+    @pytest.mark.parametrize("workload", sorted(REPLAY_PREFIX))
+    def test_replay_is_identical_across_seeds(self, trace_dirs, workload):
+        import os
+        import subprocess
+        import sys
+
+        outputs = []
+        for seed in ("1", "2", "3"):
+            run = subprocess.run(
+                [sys.executable, "-c", REPLAY_PROGRAM, trace_dirs[workload]],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        assert len(outputs[0]) > REPLAY_PREFIX[workload]
+        for seed, lines in zip(("2", "3"), outputs[1:]):
+            mismatch = next(
+                (i for i, pair in enumerate(zip(outputs[0], lines))
+                 if pair[0] != pair[1]),
+                None,
+            )
+            assert mismatch is None, (
+                f"seed {seed} differs from seed 1 at line {mismatch}: "
+                f"{outputs[0][mismatch]} != {lines[mismatch]}"
+            )
+            assert len(lines) == len(outputs[0])

@@ -55,6 +55,83 @@ class TestQueryAugmentation:
         assert before == after
 
 
+class TestMaintainedPartitions:
+    """Pinned Θ_I ∪ Θ_q partitions follow writes without a rebuild."""
+
+    JOIN = "q() <- TxOut(t1, s1, pk, a1), TxOut(t2, s2, pk, a2)"
+
+    @staticmethod
+    def rebuilt(checker, query):
+        fresh = IndQTransactionGraph(Workspace(checker.db))
+        return set(fresh.components(query))
+
+    def test_writes_keep_the_same_partition_exact(self, figure2):
+        from repro.core.checker import DCSatChecker
+        from repro.relational.transaction import Transaction
+
+        checker = DCSatChecker(figure2)
+        graph = checker.ind_graph
+        query = parse_query(self.JOIN)
+        graph.pin(query)
+        partition = graph.partition(query)
+        assert set(graph.components(query)) == self.rebuilt(checker, query)
+        # T6 pays U7Pk too: the Θ_q join merges it into T4/T5's component.
+        checker.issue(Transaction({"TxOut": [(6, 1, "U7Pk", 1.0)]}, tx_id="T6"))
+        merged = next(c for c in graph.components(query) if "T6" in c)
+        assert {"T4", "T5"} <= merged
+        for write in (
+            lambda: checker.forget("T2"),
+            lambda: checker.commit("T5"),
+            lambda: checker.absorb(
+                Transaction({"TxOut": [(99, 1, "MinerPk", 50.0)]}, tx_id="CB")
+            ),
+            lambda: checker.forget("T6"),
+        ):
+            write()
+            assert graph.partition(query) is partition
+            assert set(graph.components(query)) == self.rebuilt(checker, query)
+            assert set(graph.components()) == self.rebuilt(checker, None)
+
+    def test_departure_relinks_the_rest_of_its_component(self, figure2):
+        from repro.core.checker import DCSatChecker
+
+        checker = DCSatChecker(figure2)
+        assert frozenset({"T1", "T2", "T3", "T4"}) in checker.ind_graph.components()
+        checker.forget("T2")
+        # T3–T4 is an edge of its own; only T1 loses its link.
+        components = set(checker.ind_graph.components())
+        assert frozenset({"T3", "T4"}) in components
+        assert frozenset({"T1"}) in components
+
+    def test_pins_are_counted_and_released(self, figure2):
+        graph = IndQTransactionGraph(Workspace(figure2))
+        query = parse_query(self.JOIN)
+        signature = graph.pin(query)
+        assert graph.pin(parse_query(self.JOIN)) == signature
+        graph.partition(query)
+        assert graph.pinned == {signature}
+        assert graph.partition_count == 2  # Θ_I and the pinned one
+        graph.release(signature)
+        assert graph.pinned == {signature}
+        graph.release(signature)
+        assert graph.pinned == frozenset()
+        assert graph.partition(query) is None
+        assert graph.partition_count == 1
+
+    def test_write_past_the_graph_rebuilds(self, figure2):
+        from repro.relational.transaction import Transaction
+
+        workspace = Workspace(figure2)
+        graph = IndQTransactionGraph(workspace)
+        query = parse_query(self.JOIN)
+        graph.pin(query)
+        stale = graph.partition(query)
+        workspace.issue(Transaction({"TxOut": [(6, 1, "U7Pk", 1.0)]}, tx_id="T6"))
+        assert graph.partition(query) is not stale
+        fresh = IndQTransactionGraph(Workspace(figure2))
+        assert set(graph.components(query)) == set(fresh.components(query))
+
+
 class TestUnionFind:
     def test_clone_isolation(self):
         from repro.core.ind_graph import _UnionFind

@@ -140,6 +140,40 @@ class TestSubsumption:
         assert result.satisfied
         assert monitor.entry("negated").checks_run == 1  # really checked
 
+    def test_subsumption_runs_once_per_pair(self, monitor, monkeypatch):
+        from repro.query import containment
+
+        calls: dict[tuple[str, str], int] = {}
+        real = containment.denial_subsumes
+
+        def counting(broad, narrow):
+            key = (str(broad), str(narrow))
+            calls[key] = calls.get(key, 0) + 1
+            return real(broad, narrow)
+
+        monkeypatch.setattr(containment, "denial_subsumes", counting)
+        monitor.register("broad", "q() <- TxOut(t, s, 'MartianPk', a)")
+        monitor.register("narrow", "q() <- TxOut(t, 1, 'MartianPk', 7.0)")
+        monitor.register("u8", QS_U8)
+        outcomes = []
+        for round_ in range(4):
+            tx = Transaction({"TxOut": [(90 + round_, 1, "ZPk", 1.0)]},
+                             tx_id=f"W{round_}")
+            monitor.issue(tx)
+            verdicts = monitor.status_all(batch=False)
+            outcomes.append(
+                {name: r.stats.algorithm for name, r in verdicts.items()}
+            )
+            monitor.forget(tx.tx_id)
+        assert all(o["narrow"] == "subsumed-by:broad" for o in outcomes)
+        assert calls and max(calls.values()) == 1
+        # Re-registering a name drops its memoized answers.
+        monitor.unregister("broad")
+        monitor.register("broad", "q() <- TxOut(t, s, 'VenusPk', a)")
+        monitor.issue(Transaction({"TxOut": [(99, 1, "ZPk", 1.0)]}, tx_id="W9"))
+        monitor.status("broad")
+        assert monitor.status("narrow").stats.algorithm != "subsumed-by:broad"
+
 
 class TestCoupledRelations:
     def test_ind_closure_is_connectivity(self):

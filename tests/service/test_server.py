@@ -148,6 +148,20 @@ class TestRoundTrip:
         assert "repro_solve_seconds_bucket" in text
         assert "repro_registered_constraints" in text
 
+    def test_ind_partitions_gauge_follows_pins(self, client):
+        def gauge() -> float:
+            for line in client.metrics_text().splitlines():
+                if line.startswith("repro_ind_partitions "):
+                    return float(line.split()[1])
+            raise AssertionError("repro_ind_partitions not exported")
+
+        client.register("pinned", Q_R_CONFLICT)
+        client.status("pinned")  # a full check builds the partition
+        pinned = gauge()
+        assert pinned >= 1
+        client.unregister("pinned")
+        assert gauge() == pinned - 1
+
     def test_domain_error_reaches_client(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.status("ghost")
