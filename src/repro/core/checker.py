@@ -101,7 +101,7 @@ class DCSatChecker:
         tx = self.workspace.commit(tx_id)
         self.fd_graph.remove_transaction(tx_id)
         self.fd_graph.refresh_after_commit()
-        self.ind_graph.commit(tx_id)
+        self.ind_graph.remove(tx_id)
         self.backend.on_commit(tx)
         self.epoch += 1
         return tx
@@ -110,7 +110,7 @@ class DCSatChecker:
         """Drop a pending transaction without committing it."""
         tx = self.workspace.forget(tx_id)
         self.fd_graph.remove_transaction(tx_id)
-        self.ind_graph.forget(tx_id)
+        self.ind_graph.remove(tx_id)
         self.backend.on_forget(tx)
         self.epoch += 1
         return tx

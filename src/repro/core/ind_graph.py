@@ -222,53 +222,53 @@ class IndQTransactionGraph:
                 built.append((pinned.partition, pinned.constraints))
         return built
 
-    def _maintain(self, op: str, tx_id: str | None) -> None:
-        """Carry the built partitions across one workspace write."""
+    def _advance(self) -> list[tuple[_UnionFind, frozenset[EqualityConstraint]]]:
+        """Account for one workspace write; the built partitions to carry
+        across it (none, after a write the graph was not told about)."""
         if self._version != self._workspace.version - 1:
             self.invalidate()
-            return
+            return []
         self._version = self._workspace.version
-        built = self._maintained()
-        if not built or tx_id is None:
+        return self._maintained()
+
+    def issue(self, tx_id: str) -> None:
+        """*tx_id* joined the pending set (after the workspace indexed it).
+
+        Its new edges all run through values its facts project to, and
+        are the same for every partition whose constraints include them.
+        """
+        built = self._advance()
+        if not built:
             return
-        with obs_span("ind_graph.maintain", op=op, partitions=len(built)):
-            if op == "issue":
-                # The new edges all run through tx_id and are the same
-                # for every partition whose constraints include them.
-                groups: dict[EqualityConstraint, list[set[str]]] = {}
-                for uf, constraints in built:
-                    uf.add(tx_id)
-                    for constraint in constraints:
-                        if constraint not in groups:
-                            groups[constraint] = self._groups(
-                                constraint, (tx_id,)
-                            )
-                        for group in groups[constraint]:
-                            uf.union_all(group)
-                return
+        with obs_span("ind_graph.maintain", op="issue", partitions=len(built)):
+            groups: dict[EqualityConstraint, list[set[str]]] = {}
             for uf, constraints in built:
-                # Θ has pending-to-pending edges only: the departed
-                # transaction's component may split, no other changes.
+                uf.add(tx_id)
+                for constraint in constraints:
+                    if constraint not in groups:
+                        groups[constraint] = self._groups(constraint, (tx_id,))
+                    for group in groups[constraint]:
+                        uf.union_all(group)
+
+    def remove(self, tx_id: str) -> None:
+        """*tx_id* left the pending set (committed or forgotten).
+
+        Θ has pending-to-pending edges only: the component that held it
+        may split, and no other component changes.
+        """
+        built = self._advance()
+        if not built:
+            return
+        with obs_span("ind_graph.maintain", op="remove", partitions=len(built)):
+            for uf, constraints in built:
                 rest = uf.split(tx_id)
                 if rest:
                     self._link(uf, constraints, rest)
 
-    def issue(self, tx_id: str) -> None:
-        """*tx_id* joined the pending set (after the workspace indexed it)."""
-        self._maintain("issue", tx_id)
-
-    def commit(self, tx_id: str) -> None:
-        """*tx_id* left the pending set into the committed state."""
-        self._maintain("commit", tx_id)
-
-    def forget(self, tx_id: str) -> None:
-        """*tx_id* left the pending set."""
-        self._maintain("forget", tx_id)
-
     def absorb(self) -> None:
         """Facts went straight into the committed state: Θ joins only
         pending facts, so no partition changes."""
-        self._maintain("absorb", None)
+        self._advance()
 
     def _ind_union_find(self) -> _UnionFind:
         self._sync()
@@ -304,11 +304,6 @@ class IndQTransactionGraph:
         pinned.pins -= 1
         if not pinned.pins:
             del self._pinned[signature]
-
-    @property
-    def pinned(self) -> frozenset[frozenset[EqualityConstraint]]:
-        """The Θ_q signatures with a maintained partition."""
-        return frozenset(self._pinned)
 
     @property
     def partition_count(self) -> int:

@@ -216,14 +216,12 @@ class ConstraintMonitor:
                 continue
             if not other.result.satisfied:
                 continue
-            if not isinstance(other.query, ConjunctiveQuery):
-                continue
-            if not other.query.is_positive:
-                continue
             subsumes = answers.get(other.name)
             if subsumes is None:
-                subsumes = answers[other.name] = denial_subsumes(
-                    other.query, entry.query
+                subsumes = answers[other.name] = (
+                    isinstance(other.query, ConjunctiveQuery)
+                    and other.query.is_positive
+                    and denial_subsumes(other.query, entry.query)
                 )
             if subsumes:
                 return other.name

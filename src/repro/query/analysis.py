@@ -286,9 +286,6 @@ class CompiledConstraint:
     def patterns(self) -> tuple[ConstantPattern, ...]:
         return constant_patterns(self.query)
 
-    def __repr__(self) -> str:
-        return f"CompiledConstraint({self.query!s})"
-
 
 def compile_constraint(
     query: ConjunctiveQuery | AggregateQuery | CompiledConstraint,

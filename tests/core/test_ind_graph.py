@@ -109,12 +109,12 @@ class TestMaintainedPartitions:
         signature = graph.pin(query)
         assert graph.pin(parse_query(self.JOIN)) == signature
         graph.partition(query)
-        assert graph.pinned == {signature}
+        assert frozenset(graph._pinned) == {signature}
         assert graph.partition_count == 2  # Θ_I and the pinned one
         graph.release(signature)
-        assert graph.pinned == {signature}
+        assert frozenset(graph._pinned) == {signature}
         graph.release(signature)
-        assert graph.pinned == frozenset()
+        assert frozenset(graph._pinned) == frozenset()
         assert graph.partition(query) is None
         assert graph.partition_count == 1
 

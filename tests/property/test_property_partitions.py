@@ -93,14 +93,14 @@ def assert_partitions_match(monitor: ConstraintMonitor, seen: dict) -> None:
     checker = monitor.checker
     graph = checker.ind_graph
     entries = [monitor.entry(name) for name in monitor.names]
-    assert graph.pinned == {
+    assert frozenset(graph._pinned) == {
         entry.compiled.equalities
         for entry in entries
         if entry.compiled is not None
         and entry.ledger
         and not entry.compiled.unsatisfiable
     }
-    for signature in set(seen) - graph.pinned:
+    for signature in set(seen) - frozenset(graph._pinned):
         del seen[signature]
     fresh = IndQTransactionGraph(Workspace(checker.db))
     for entry in entries:
