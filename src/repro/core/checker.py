@@ -150,8 +150,6 @@ class DCSatChecker:
     ) -> CompiledConstraint:
         """Parse, normalize and wrap *query* for repeated checks; a
         compiled constraint is returned as is."""
-        if isinstance(query, CompiledConstraint):
-            return query
         return compile_constraint(
             self._parse(query), normalize, self.assume_nonnegative_sums
         )

@@ -213,15 +213,6 @@ class IndQTransactionGraph:
         if self._version != self._workspace.version:
             self.invalidate()
 
-    def _maintained(self) -> list[tuple[_UnionFind, frozenset[EqualityConstraint]]]:
-        built = []
-        if self._base_uf is not None:
-            built.append((self._base_uf, self._ind_constraints))
-        for pinned in self._pinned.values():
-            if pinned.partition is not None:
-                built.append((pinned.partition, pinned.constraints))
-        return built
-
     def _advance(self) -> list[tuple[_UnionFind, frozenset[EqualityConstraint]]]:
         """Account for one workspace write; the built partitions to carry
         across it (none, after a write the graph was not told about)."""
@@ -229,7 +220,14 @@ class IndQTransactionGraph:
             self.invalidate()
             return []
         self._version = self._workspace.version
-        return self._maintained()
+        built = [
+            (pinned.partition, pinned.constraints)
+            for pinned in self._pinned.values()
+            if pinned.partition is not None
+        ]
+        if self._base_uf is not None:
+            built.append((self._base_uf, self._ind_constraints))
+        return built
 
     def issue(self, tx_id: str) -> None:
         """*tx_id* joined the pending set (after the workspace indexed it).

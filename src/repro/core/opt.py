@@ -105,8 +105,9 @@ def _candidate_components(
     """The maintained components that can cover *patterns*, in order.
 
     A pattern with no match in ``R`` is covered only through one of its
-    pending contributors, so the components holding the fewest such
-    contributors are a superset of the survivors.
+    pending contributors, so the components holding a contributor of
+    such a pattern are a superset of the survivors; the pattern with the
+    fewest contributors gives the fewest components to test.
     """
     contributors = None
     for pattern in patterns:
