@@ -7,11 +7,28 @@ query's positive atoms (Section 6.2)."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import AbstractSet, Iterable, Iterator
 
 from repro.core.workspace import Workspace
 from repro.query.analysis import ConstantPattern, constant_patterns
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
+
+
+def uncovered_contributors(
+    workspace: Workspace,
+    patterns: tuple[ConstantPattern, ...],
+) -> Iterator[AbstractSet[str]]:
+    """For each pattern ``R`` has no match for, its pending contributors.
+
+    Such a pattern is covered only through one of those transactions;
+    an empty set means nothing pending can cover it.
+    """
+    for pattern in patterns:
+        if workspace.base[pattern.relation].lookup(pattern.positions, pattern.values):
+            continue
+        yield workspace.pending_projections(
+            pattern.relation, pattern.positions
+        ).get(pattern.values, frozenset())
 
 
 def covers(
@@ -21,12 +38,7 @@ def covers(
 ) -> bool:
     """Does ``(R, component)`` cover every constant pattern?"""
     component_set = None
-    for pattern in patterns:
-        if workspace.base[pattern.relation].lookup(pattern.positions, pattern.values):
-            continue
-        contributors = workspace.pending_projections(
-            pattern.relation, pattern.positions
-        ).get(pattern.values)
+    for contributors in uncovered_contributors(workspace, patterns):
         if not contributors:
             return False
         if component_set is None:

@@ -29,13 +29,11 @@ from repro.obs.trace import span as obs_span
 from repro.query.analysis import (
     CompiledConstraint,
     EqualityConstraint,
+    compile_constraint,
     equality_constraints_from_inds,
-    equality_constraints_from_query,
 )
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 from repro.relational.relation import project
-
-Query = ConjunctiveQuery | AggregateQuery | CompiledConstraint
 
 
 class _UnionFind:
@@ -117,12 +115,6 @@ class _Pinned:
         self.pins = 0
         self.constraints = constraints
         self.partition: _UnionFind | None = None
-
-
-def _equalities(query: Query) -> frozenset[EqualityConstraint]:
-    if isinstance(query, CompiledConstraint):
-        return query.equalities
-    return equality_constraints_from_query(query)
 
 
 class IndQTransactionGraph:
@@ -281,13 +273,13 @@ class IndQTransactionGraph:
     # ------------------------------------------------------------------
     # Pinned per-signature partitions
 
-    def pin(self, query: Query) -> frozenset[EqualityConstraint]:
-        """Keep the Θ_I ∪ Θ_q partition of *query* maintained.
+    def pin(self, constraint: CompiledConstraint) -> frozenset[EqualityConstraint]:
+        """Keep the Θ_I ∪ Θ_q partition of *constraint* maintained.
 
-        Queries with equal Θ_q share one partition; returns that
+        Constraints with equal Θ_q share one partition; returns that
         signature, which the caller hands back to :meth:`release`.
         """
-        signature = _equalities(query)
+        signature = constraint.equalities
         pinned = self._pinned.get(signature)
         if pinned is None:
             pinned = self._pinned[signature] = _Pinned(
@@ -314,12 +306,16 @@ class IndQTransactionGraph:
             entry.partition is not None for entry in pinned
         )
 
-    def partition(self, query: Query) -> _UnionFind | None:
-        """The maintained Θ_I ∪ Θ_q partition of *query*, built on first
-        use, or ``None`` when no entry pins its signature."""
-        pinned = self._pinned.get(_equalities(query))
+    def partition(self, constraint: CompiledConstraint) -> _UnionFind:
+        """The Θ_I ∪ Θ_q partition of *constraint*.
+
+        The maintained one (built on first use) when an entry pins its
+        signature; otherwise one built from a clone of Θ_I for this call
+        alone.  Either way the caller must not change it.
+        """
+        pinned = self._pinned.get(constraint.equalities)
         if pinned is None:
-            return None
+            return self._build(constraint.equalities)
         self._sync()
         if pinned.partition is None:
             pinned.partition = self._build(pinned.constraints - self._ind_constraints)
@@ -328,7 +324,10 @@ class IndQTransactionGraph:
     # ------------------------------------------------------------------
     # Per-query components
 
-    def components(self, query: Query | None = None) -> list[frozenset[str]]:
+    def components(
+        self,
+        query: ConjunctiveQuery | AggregateQuery | CompiledConstraint | None = None,
+    ) -> list[frozenset[str]]:
         """Connected components of ``G^{q,ind}_T``.
 
         With ``query=None`` this is ``G^ind_T`` (the precomputed part of
@@ -336,10 +335,8 @@ class IndQTransactionGraph:
         """
         if query is None:
             return self._ind_union_find().components()
-        maintained = self.partition(query)
-        if maintained is not None:
-            return maintained.components()
-        return self._build(_equalities(query)).components()
+        constraint = compile_constraint(query, normalize_query=False)
+        return self.partition(constraint).components()
 
     def __repr__(self) -> str:
         components = self._ind_union_find().components()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.coverage import covers
+from repro.core.coverage import covers, uncovered_contributors
 from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
 from repro.core.ind_graph import IndQTransactionGraph
@@ -37,7 +37,7 @@ from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
 from repro.obs.perf import CostModel
 from repro.obs.trace import span as obs_span
-from repro.query.analysis import CompiledConstraint, compile_constraint
+from repro.query.analysis import CompiledConstraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 
 
@@ -45,7 +45,7 @@ def component_survivors(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     ind_graph: IndQTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery | CompiledConstraint,
+    constraint: CompiledConstraint,
     use_coverage: bool = True,
     stats: DCSatStats | None = None,
 ) -> list[set[str]]:
@@ -57,36 +57,24 @@ def component_survivors(
     then only the surviving components pay for clique enumeration.
     Survivors come in component order (lowest member first).
 
-    When a standing constraint pinned the query's partition
-    (:meth:`IndQTransactionGraph.pin`) and some constant pattern has no
-    match in ``R``, only the components holding a pending contributor of
-    that pattern can cover it: those are the only ones visited, and the
-    rest count as pruned without being looked at.
+    When some constant pattern has no match in ``R``, only the
+    components holding a pending contributor of that pattern can cover
+    it: those are the only ones visited, and the rest count as pruned
+    without being looked at.
 
     Each survivor is an independent unit of work (Proposition 2: no
     satisfying assignment spans two components), which is exactly what
     :mod:`repro.service.pool` fans out across worker processes.
     """
-    constraint = compile_constraint(query, normalize_query=False)
-    patterns = constraint.patterns
+    patterns = constraint.patterns if use_coverage else ()
     survivors: list[set[str]] = []
     with obs_span("component_prune") as sp:
         partition = ind_graph.partition(constraint)
-        if partition is None:
-            components = ind_graph.components(constraint)
-            total = len(components)
-        else:
-            components = _candidate_components(
-                workspace, partition, patterns if use_coverage else ()
-            )
-            total = len(partition)
-        for component in components:
+        total = len(partition)
+        for component in _candidate_components(workspace, partition, patterns):
             candidates = component & fd_graph.nodes
-            if not candidates:
-                continue
-            if use_coverage and not covers(workspace, candidates, patterns):
-                continue
-            survivors.append(candidates)
+            if candidates and covers(workspace, candidates, patterns):
+                survivors.append(candidates)
         pruned = total - len(survivors)
         if stats is not None:
             stats.components_total += total
@@ -102,22 +90,16 @@ def component_survivors(
 def _candidate_components(
     workspace: Workspace, partition, patterns
 ) -> list[set[str]]:
-    """The maintained components that can cover *patterns*, in order.
+    """The components of *partition* that can cover *patterns*, in order.
 
     A pattern with no match in ``R`` is covered only through one of its
     pending contributors, so the components holding a contributor of
     such a pattern are a superset of the survivors; the pattern with the
     fewest contributors gives the fewest components to test.
     """
-    contributors = None
-    for pattern in patterns:
-        if workspace.base[pattern.relation].lookup(pattern.positions, pattern.values):
-            continue
-        found = workspace.pending_projections(
-            pattern.relation, pattern.positions
-        ).get(pattern.values, ())
-        if contributors is None or len(found) < len(contributors):
-            contributors = found
+    contributors = min(
+        uncovered_contributors(workspace, patterns), key=len, default=None
+    )
     if contributors is None:
         groups = partition.members.values()
     else:
@@ -204,7 +186,7 @@ def opt_dcsat(
     workspace: Workspace,
     fd_graph: FdTransactionGraph,
     ind_graph: IndQTransactionGraph,
-    query: ConjunctiveQuery | AggregateQuery | CompiledConstraint,
+    constraint: CompiledConstraint,
     engine: SyncEngine,
     pivot: bool = True,
     use_coverage: bool = True,
@@ -217,7 +199,6 @@ def opt_dcsat(
     ``check_connected=False`` skips the connectivity validation (callers
     that already verified it).
     """
-    constraint = compile_constraint(query, normalize_query=False)
     query = constraint.query
     if check_connected and not constraint.connected:
         raise AlgorithmError(

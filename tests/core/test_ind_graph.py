@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.ind_graph import IndQTransactionGraph
 from repro.core.workspace import Workspace
+from repro.query.analysis import compile_constraint
 from repro.query.parser import parse_query
 
 
@@ -71,7 +72,7 @@ class TestMaintainedPartitions:
 
         checker = DCSatChecker(figure2)
         graph = checker.ind_graph
-        query = parse_query(self.JOIN)
+        query = checker.compile(self.JOIN)
         graph.pin(query)
         partition = graph.partition(query)
         assert set(graph.components(query)) == self.rebuilt(checker, query)
@@ -105,17 +106,19 @@ class TestMaintainedPartitions:
 
     def test_pins_are_counted_and_released(self, figure2):
         graph = IndQTransactionGraph(Workspace(figure2))
-        query = parse_query(self.JOIN)
+        query = compile_constraint(parse_query(self.JOIN))
         signature = graph.pin(query)
-        assert graph.pin(parse_query(self.JOIN)) == signature
-        graph.partition(query)
+        assert graph.pin(compile_constraint(parse_query(self.JOIN))) == signature
+        partition = graph.partition(query)
+        assert graph.partition(query) is partition
         assert frozenset(graph._pinned) == {signature}
         assert graph.partition_count == 2  # Θ_I and the pinned one
         graph.release(signature)
         assert frozenset(graph._pinned) == {signature}
         graph.release(signature)
         assert frozenset(graph._pinned) == frozenset()
-        assert graph.partition(query) is None
+        # Unpinned, every call builds its own partition and keeps none.
+        assert graph.partition(query) is not graph.partition(query)
         assert graph.partition_count == 1
 
     def test_write_past_the_graph_rebuilds(self, figure2):
@@ -123,7 +126,7 @@ class TestMaintainedPartitions:
 
         workspace = Workspace(figure2)
         graph = IndQTransactionGraph(workspace)
-        query = parse_query(self.JOIN)
+        query = compile_constraint(parse_query(self.JOIN))
         graph.pin(query)
         stale = graph.partition(query)
         workspace.issue(Transaction({"TxOut": [(6, 1, "U7Pk", 1.0)]}, tx_id="T6"))

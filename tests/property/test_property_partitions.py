@@ -4,8 +4,10 @@ Random issue / forget / commit / absorb traces run through a
 :class:`ConstraintMonitor` with register / unregister / status mixed
 in.  After every step, each partition the ind-graph maintains must equal
 the components a fresh :class:`IndQTransactionGraph` computes for the
-same query, and the pinned signatures must be exactly those of the
-registered entries that were checked through the ledger.
+same query, the survivors read through it must equal those read
+through the rebuild (with equal ``DCSatStats`` counters), and the
+pinned signatures must be exactly those of the registered entries that
+were checked through the ledger.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
 from repro.core.ind_graph import IndQTransactionGraph
 from repro.core.monitor import ConstraintMonitor
+from repro.core.opt import component_survivors
+from repro.core.results import DCSatStats
 from repro.core.workspace import Workspace
 from repro.relational.constraints import ConstraintSet, InclusionDependency, Key
 from repro.relational.database import Database, make_schema
@@ -87,6 +91,16 @@ def transaction(tx_id: str, rows) -> Transaction:
     return Transaction(grouped, tx_id=tx_id)
 
 
+def survivors(checker, graph, constraint, use_coverage):
+    """Survivors and their counters, read through *graph*'s partition."""
+    stats = DCSatStats()
+    found = component_survivors(
+        checker.workspace, checker.fd_graph, graph, constraint,
+        use_coverage=use_coverage, stats=stats,
+    )
+    return found, stats
+
+
 def assert_partitions_match(monitor: ConstraintMonitor, seen: dict) -> None:
     """*seen* maps each signature to the partition object built for it:
     a partition stays the same object for as long as it is pinned."""
@@ -121,6 +135,10 @@ def assert_partitions_match(monitor: ConstraintMonitor, seen: dict) -> None:
         got = {frozenset(group) for group in maintained.members.values()}
         assert got == set(fresh.components(entry.compiled.query))
         assert {tx for group in got for tx in group} == set(checker.db.pending_ids)
+        for use_coverage in (True, False):
+            assert survivors(checker, graph, entry.compiled, use_coverage) == (
+                survivors(checker, fresh, entry.compiled, use_coverage)
+            )
     if graph._base_uf is not None:
         got = {frozenset(group) for group in graph._base_uf.members.values()}
         assert got == set(fresh.components())

@@ -305,7 +305,8 @@ class TestEarlyStop:
         checker = DCSatChecker(db)
         try:
             survivors = component_survivors(
-                checker.workspace, checker.fd_graph, checker.ind_graph, query
+                checker.workspace, checker.fd_graph, checker.ind_graph,
+                checker.compile(query),
             )
         finally:
             checker.close()
