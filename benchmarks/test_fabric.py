@@ -1,9 +1,8 @@
 """The fabric against one in-process monitor: B shard *subprocesses*
 sweep B decoupled batteries concurrently, while one
 :class:`~repro.core.monitor.ConstraintMonitor` checks the same
-constraints one at a time (``status_all(batch=False)`` — the same
-per-constraint worlds each shard sweeps, without the batch sweep that
-multiplies worlds across batteries).
+constraints one at a time (``status_all()`` checks each constraint over
+its own components — the same per-constraint worlds each shard sweeps).
 
 B decoupled batteries of per-key conflicting pending pairs: each key is
 one fd-graph component of two worlds, and the satisfied constraint
@@ -44,8 +43,8 @@ def _env_int(name: str, default: int) -> int:
 
 
 BATTERIES = _env_int("REPRO_BENCH_FABRIC_BATTERIES", 2)
-#: Conflicting pending pairs per battery.  The batch sweep decomposes
-#: per fd-graph component (one per key, two worlds each), so a
+#: Conflicting pending pairs per battery.  A constraint's check
+#: decomposes per component (one per key, two worlds each), so a
 #: battery's sweep costs ``2 * KEYS`` world checks — sized here so one
 #: battery's sweep dwarfs a fabric RPC round trip by a wide margin.
 KEYS = _env_int("REPRO_BENCH_FABRIC_KEYS", 120)
@@ -75,13 +74,13 @@ def register_batteries(monitor) -> None:
         monitor.register(f"battery-{b}", f"q() <- R{b}(k, 'a'), R{b}(k, 'b')")
 
 
-def timed_sweeps(monitor, tag: str, batch: bool = True) -> list[float]:
+def timed_sweeps(monitor, tag: str) -> list[float]:
     timings = []
     for round_index in range(ROUNDS):
         # Absorb one fresh, conflict-free fact per battery: it touches
         # every battery's relation, so *all* verdict caches — router
         # mirrors and shard-side monitors alike — invalidate, and every
-        # round pays the full 2^KEYS sweep per battery.  The new key is
+        # round pays the full 2 * KEYS-world sweep per battery.  The new key is
         # beyond the conflicting range, so the verdicts never change.
         for b in range(BATTERIES):
             monitor.absorb(
@@ -91,7 +90,7 @@ def timed_sweeps(monitor, tag: str, batch: bool = True) -> list[float]:
                 )
             )
         started = time.perf_counter()
-        verdicts = monitor.status_all(batch=batch)
+        verdicts = monitor.status_all()
         timings.append(time.perf_counter() - started)
         assert all(verdicts[f"battery-{b}"].satisfied for b in range(BATTERIES))
     return timings
@@ -114,7 +113,7 @@ def test_process_fleet_beats_single_monitor(tmp_path):
             fabric.issue(tx)
 
         fabric_timings = timed_sweeps(fabric, "F")
-        single_timings = timed_sweeps(single, "S", batch=False)
+        single_timings = timed_sweeps(single, "S")
     finally:
         fabric.close()
 

@@ -30,47 +30,24 @@ components untouched:
   :func:`repro.core.monitor.coupled_relations`).  All entries of the
   invalidated constraints are therefore dirtied wholesale.
 
-For a dirtied component the ledger supports two policies
-(``witness_mode``):
-
-* ``"strict"`` (default) — dirty entries are dropped and re-swept, so
-  verdicts *and witnesses* are bit-identical to a fresh full
-  recomputation (the churn-parity suite pins this).
-* ``"revalidate"`` — a previously *violated* component first re-checks
-  its stored witness (one greedy possible-world fixpoint plus one
-  backend evaluation, instead of a ``2^K`` sweep); a previously
-  *satisfied* component first re-runs the monotone short-circuit at
-  component scope (one evaluation of ``q`` over ``R`` plus the whole
-  candidate set).  Verdicts remain identical to a fresh recompute;
-  witnesses are guaranteed to be valid violating possible worlds but
-  may be non-maximal (a fresh sweep only ever reports maximal worlds).
-  See ``docs/INCREMENTAL.md`` for the exact contract.
+Dirtied entries are dropped and re-swept, so verdicts *and witnesses*
+are bit-identical to a fresh full recomputation (the churn-parity suite
+pins this).
 
 The ledger is owned by :class:`~repro.core.monitor.ConstraintMonitor`;
 the solver pool solves only the dirty components
-(:meth:`~repro.service.pool.SolverPool.solve_components`), and the
-revalidate-vs-sweep costs feed the perf cost model under separate
-``mode`` keys (:mod:`repro.obs.perf`).
+(:meth:`~repro.service.pool.SolverPool.solve_components`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
-
-from repro.core.possible_worlds import get_maximal
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import SyncEngine
-    from repro.core.results import DCSatStats
-    from repro.core.workspace import Workspace
+from typing import Iterable
 
 #: Ledger entries kept per constraint; the least recently touched entry
 #: is evicted first.  Components come and go as the mempool churns, so
 #: an unbounded ledger would accumulate keys that can never match again.
 DEFAULT_MAX_ENTRIES = 512
-
-WITNESS_MODES = ("strict", "revalidate")
 
 
 @dataclass
@@ -78,28 +55,22 @@ class ComponentVerdict:
     """One component-scoped sub-verdict.
 
     ``key`` is the frozenset of member transaction ids (the component's
-    surviving candidate set) and ``footprint`` the relations those
-    members write — together the component identity the tentpole keys
-    on.  ``witness`` is the first violating world the sweep found
+    surviving candidate set), which the ledger looks entries up by, and
+    ``footprint`` the relations those members write.  ``witness`` is the first violating world the sweep found
     (``None`` when no world restricted to the component satisfies the
-    query).  ``epoch`` records the checker epoch the sweep ran at;
-    ``dirty`` marks entries whose committed state shifted underneath
-    them (commit / absorb) and that therefore need revalidation.
+    query).  ``epoch`` records the checker epoch the sweep ran at.
     """
 
     key: frozenset[str]
     footprint: frozenset[str]
     witness: frozenset[str] | None
     epoch: int
-    dirty: bool = False
 
 
 def _fresh_counters() -> dict[str, int]:
     return {
         "reused": 0,
         "swept": 0,
-        "revalidations": 0,
-        "revalidation_hits": 0,
         "dirtied": 0,
         "pruned": 0,
         "evicted": 0,
@@ -122,21 +93,10 @@ class VerdictLedger:
     The owning monitor forwards every state change through
     :meth:`note_change` and resolves each status call through
     :meth:`plan` + :meth:`store`.  The ledger never talks to a backend
-    itself — witness revalidation is the module-level helpers below,
-    run by the monitor which owns the workspace and engine.
+    itself.
     """
 
-    def __init__(
-        self,
-        witness_mode: str = "strict",
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-    ):
-        if witness_mode not in WITNESS_MODES:
-            raise ValueError(
-                f"witness_mode must be one of {WITNESS_MODES}, "
-                f"got {witness_mode!r}"
-            )
-        self.witness_mode = witness_mode
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.max_entries = max_entries
         self._states: dict[str, _LedgerState] = {}
         #: Checker epoch the ledger last synchronized with.  ``None``
@@ -191,24 +151,16 @@ class VerdictLedger:
         if kind in ("commit", "absorb"):
             # The committed state grew: IND-appendability inside *any*
             # component of a reachable constraint may flip, so entries
-            # are dirtied wholesale (see the module docstring for why a
+            # are dropped wholesale (see the module docstring for why a
             # footprint-refined rule would be unsound).
             for name in invalidated:
                 state = self._states.get(name)
                 if state is None or not state.entries:
                     continue
-                if self.witness_mode == "strict":
-                    count = len(state.entries)
-                    state.entries.clear()
-                else:
-                    count = 0
-                    for entry in state.entries.values():
-                        if not entry.dirty:
-                            entry.dirty = True
-                            count += 1
-                if count:
-                    self.counters["dirtied"] += count
-                    affected[name] = affected.get(name, 0) + count
+                count = len(state.entries)
+                state.entries.clear()
+                self.counters["dirtied"] += count
+                affected[name] = affected.get(name, 0) + count
         return affected
 
     # -- solve planning ------------------------------------------------
@@ -218,10 +170,9 @@ class VerdictLedger:
     ) -> list[tuple[str, ComponentVerdict | None]]:
         """Disposition for each surviving component, in survivor order.
 
-        ``("reuse", entry)`` — clean key hit, the stored sub-verdict is
-        exactly what a fresh sweep would produce; ``("revalidate",
-        entry)`` — dirty key hit under ``witness_mode="revalidate"``;
-        ``("sweep", None)`` — no usable entry, run the clique sweep.
+        ``("reuse", entry)`` — key hit, the stored sub-verdict is
+        exactly what a fresh sweep would produce; ``("sweep", None)`` —
+        no entry, run the clique sweep.
         """
         if self._epoch is None:
             self._epoch = epoch
@@ -239,8 +190,6 @@ class VerdictLedger:
             )
             if entry is None:
                 plan.append(("sweep", None))
-            elif entry.dirty:
-                plan.append(("revalidate", entry))
             else:
                 plan.append(("reuse", entry))
         return plan
@@ -281,7 +230,6 @@ class VerdictLedger:
     def snapshot(self) -> dict:
         """The ledger's state for ``/perfz`` and ``describe()``."""
         return {
-            "witness_mode": self.witness_mode,
             "constraints": len(self._states),
             "entries": self.entry_count,
             "counters": dict(self.counters),
@@ -290,59 +238,8 @@ class VerdictLedger:
     def __repr__(self) -> str:
         return (
             f"VerdictLedger({len(self._states)} constraints, "
-            f"{self.entry_count} entries, mode={self.witness_mode})"
+            f"{self.entry_count} entries)"
         )
-
-
-# ----------------------------------------------------------------------
-# Revalidation primitives (run by the monitor, which owns the engine)
-
-
-def revalidate_witness(
-    workspace: "Workspace",
-    engine: "SyncEngine",
-    query,
-    witness: frozenset[str],
-    stats: "DCSatStats | None" = None,
-) -> bool:
-    """Is the stored violating world still a violating possible world?
-
-    Two checks, both far cheaper than a ``2^K`` sweep: the greedy
-    ``getMaximal`` fixpoint restricted to the witness itself (the world
-    is appendable iff the fixpoint reaches all of it), then one backend
-    evaluation of ``q`` over it.  A hit keeps the component's VIOLATED
-    verdict with the same witness; note the witness may no longer be
-    *maximal* after base growth — valid for the verdict (monotone
-    queries: any violating possible world suffices) but not necessarily
-    the world a fresh sweep would report.
-    """
-    if not all(tx_id in workspace.db.pending_ids for tx_id in witness):
-        return False
-    world = get_maximal(workspace, witness)
-    if world != witness:
-        return False
-    if stats is not None:
-        stats.evaluations += 1
-    return bool(engine.evaluate(query, witness))
-
-
-def component_still_satisfied(
-    engine: "SyncEngine",
-    query,
-    candidates: Iterable[str],
-    stats: "DCSatStats | None" = None,
-) -> bool:
-    """The monotone short-circuit at component scope.
-
-    Every possible world restricted to the component is a subset of
-    ``R ∪ {facts of candidates}``; for a monotone query, ``q`` false
-    over that superset implies ``q`` false in each of them — one
-    evaluation confirms the component's SATISFIED verdict survives a
-    base-state change.
-    """
-    if stats is not None:
-        stats.evaluations += 1
-    return not engine.evaluate(query, frozenset(candidates))
 
 
 def component_footprint(db, candidates: Iterable[str]) -> frozenset[str]:
@@ -357,6 +254,4 @@ __all__ = [
     "ComponentVerdict",
     "VerdictLedger",
     "component_footprint",
-    "component_still_satisfied",
-    "revalidate_witness",
 ]

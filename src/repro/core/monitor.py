@@ -11,7 +11,7 @@ Verdicts are maintained *incrementally* (docs/INCREMENTAL.md): the
 monitor owns a :class:`~repro.core.incremental.VerdictLedger` of
 component-scoped sub-verdicts, so an invalidated constraint usually
 re-sweeps only the components the state change actually reached and
-reuses (or revalidates) the rest.
+reuses the rest.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.checker import DCSatChecker
-from repro.core.incremental import (
-    VerdictLedger,
-    component_footprint,
-    component_still_satisfied,
-    revalidate_witness,
-)
+from repro.core.incremental import VerdictLedger, component_footprint
 from repro.core.opt import component_survivors, sweep_components
 from repro.core.results import DCSatResult, DCSatStats
 from repro.errors import ReproError
 from repro.obs.perf import default_cost_model
 from repro.obs.trace import span as obs_span
-from repro.query.analysis import CompiledConstraint, is_monotone
+from repro.query.analysis import CompiledConstraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.relational.constraints import ConstraintSet
@@ -112,22 +107,16 @@ class ConstraintMonitor:
     With ``incremental`` (default), verdict recomputation for monotone
     connected constraints runs through the component-scoped
     :class:`~repro.core.incremental.VerdictLedger` instead of a full
-    OptDCSat sweep: clean components are reused, and — under
-    ``witness_mode="revalidate"`` — dirty components first try the
-    cheap witness-revalidation / component-short-circuit probes.
-    ``witness_mode="strict"`` (default) re-sweeps every dirty
-    component, keeping witnesses bit-identical to a fresh recompute.
+    OptDCSat sweep: clean components are reused and every dirty
+    component is re-swept, keeping witnesses bit-identical to a fresh
+    recompute.  ``incremental=False`` recomputes every verdict through
+    the plain checker (the parity oracle).
     """
 
-    def __init__(
-        self,
-        checker: DCSatChecker,
-        incremental: bool = True,
-        witness_mode: str = "strict",
-    ):
+    def __init__(self, checker: DCSatChecker, incremental: bool = True):
         self.checker = checker
         self.incremental = incremental
-        self.ledger = VerdictLedger(witness_mode=witness_mode)
+        self.ledger = VerdictLedger()
         self._entries: dict[str, MonitorEntry] = {}
         #: Per-constraint count of ledger entries the most recent state
         #: change dirtied or pruned — surfaced by the service layers as
@@ -254,31 +243,9 @@ class ConstraintMonitor:
             sp.set(satisfied=entry.result.satisfied)
         return entry.result
 
-    def status_all(self, batch: bool = True) -> dict[str, DCSatResult]:
-        """Verdicts for every registered constraint.
-
-        With ``batch=True`` (default), uncached constraints that are
-        monotone and use default check options are decided together in a
-        single world sweep (:meth:`DCSatChecker.check_batch`); the rest
-        fall back to individual checks.
-        """
-        if batch:
-            batchable = [
-                entry
-                for entry in self._entries.values()
-                if entry.result is None
-                and not entry.check_kwargs
-                and is_monotone(
-                    entry.query, self.checker.assume_nonnegative_sums
-                )
-            ]
-            if len(batchable) > 1:
-                results = self.checker.check_batch(
-                    [entry.query for entry in batchable]
-                )
-                for entry, result in zip(batchable, results):
-                    entry.result = result
-                    entry.checks_run += 1
+    def status_all(self) -> dict[str, DCSatResult]:
+        """Verdicts for every registered constraint, each answered by
+        :meth:`status` in registration order."""
         return {name: self.status(name) for name in self._entries}
 
     def violated(self) -> dict[str, DCSatResult]:
@@ -370,64 +337,27 @@ class ConstraintMonitor:
                 checker.workspace.clear_active()
 
     def _resolve_cached(
-        self,
-        name: str,
-        query,
-        plan,
-        survivors: list[set[str]],
-        stats: DCSatStats,
-        counters: dict[str, int],
-    ) -> tuple[int | None, frozenset[str] | None, list[int]]:
-        """Resolve reuse/revalidate dispositions (the cheap ones) first.
+        self, name: str, plan, stats: DCSatStats
+    ) -> tuple[frozenset[str] | None, list[int]]:
+        """Answer the components the ledger holds, in survivor order.
 
-        Returns ``(cutoff, cutoff_witness, sweep_indices)``: the lowest
-        component index already *known* violated from the ledger (with
-        its witness), and the indices below it that still need a sweep.
-        A fresh recompute stops at its first violated component, so
-        components past the cutoff are irrelevant either way.
+        Returns ``(cutoff_witness, sweep_indices)``: the witness of the
+        lowest-index component the ledger already *knows* violated, and
+        the indices below it that still need a sweep.  A fresh recompute
+        stops at its first violated component, so components past the
+        cutoff are irrelevant either way.
         """
-        checker = self.checker
-        cutoff: int | None = None
-        cutoff_witness: frozenset[str] | None = None
         sweep_indices: list[int] = []
         for index, (disposition, ledger_entry) in enumerate(plan):
-            candidates = survivors[index]
-            if disposition == "reuse":
-                stats.components_reused += 1
-                counters["reused"] += 1
-                self.ledger.touch(name, ledger_entry)
-                if ledger_entry.witness is not None:
-                    cutoff, cutoff_witness = index, ledger_entry.witness
-                    break
+            if disposition == "sweep":
+                sweep_indices.append(index)
                 continue
-            if disposition == "revalidate":
-                counters["revalidations"] += 1
-                stats.witness_revalidations += 1
-                probe_started = time.perf_counter()
-                if ledger_entry.witness is not None:
-                    alive = revalidate_witness(
-                        checker.workspace, checker.engine, query,
-                        ledger_entry.witness, stats,
-                    )
-                else:
-                    alive = component_still_satisfied(
-                        checker.engine, query, candidates, stats
-                    )
-                self._observe_probe(
-                    time.perf_counter() - probe_started, len(candidates)
-                )
-                if alive:
-                    counters["revalidation_hits"] += 1
-                    refreshed = self.ledger.store(
-                        name, ledger_entry.key, ledger_entry.footprint,
-                        ledger_entry.witness, checker.epoch,
-                    )
-                    if refreshed.witness is not None:
-                        cutoff, cutoff_witness = index, refreshed.witness
-                        break
-                    continue
-            sweep_indices.append(index)
-        return cutoff, cutoff_witness, sweep_indices
+            stats.components_reused += 1
+            self.ledger.counters["reused"] += 1
+            self.ledger.touch(name, ledger_entry)
+            if ledger_entry.witness is not None:
+                return ledger_entry.witness, sweep_indices
+        return None, sweep_indices
 
     def _solve_with_ledger(
         self,
@@ -438,11 +368,7 @@ class ConstraintMonitor:
         pivot: bool,
         stats: DCSatStats,
     ) -> DCSatResult:
-        checker = self.checker
-        counters = self.ledger.counters
-        cutoff, cutoff_witness, sweep_indices = self._resolve_cached(
-            name, query, plan, survivors, stats, counters
-        )
+        cutoff_witness, sweep_indices = self._resolve_cached(name, plan, stats)
         witness = self._solve_dirty(
             name, query, survivors, sweep_indices, pivot, stats
         )
@@ -504,16 +430,6 @@ class ConstraintMonitor:
             ):
                 best_index, best_witness = index, witness
         return best_witness
-
-    def _observe_probe(self, seconds: float, size: int) -> None:
-        """Feed one revalidation probe into the shared cost model.
-
-        Recorded under ``mode="revalidate"`` so the model (and
-        ``/perfz``) keeps the probe-vs-sweep cost split visible — the
-        whole point of revalidation is that this series stays orders of
-        magnitude below the sweep series for the same size bucket.
-        """
-        default_cost_model().observe(seconds, size, mode="revalidate")
 
     def ledger_stats(self) -> dict:
         """The verdict ledger's counters (``/perfz`` and describe())."""

@@ -35,7 +35,7 @@ from repro.core.naive import maximal_worlds
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
-from repro.obs.perf import CostModel
+from repro.obs.perf import CostModel, default_cost_model
 from repro.obs.trace import span as obs_span
 from repro.query.analysis import CompiledConstraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
@@ -154,10 +154,11 @@ def sweep_components(
 ) -> dict[int, frozenset[str] | None]:
     """Solve ``(index, candidates)`` units in-process, in the given order.
 
-    The in-process sweep behind the monitor's verdict ledger and the
-    solver pool's small-set path.  *items* arrive in ascending index
-    order, so the sweep stops at the first witness: no later component
-    can hold the deterministic (lowest-index) one.  Every solve is timed
+    The one in-process sweep loop: :func:`opt_dcsat`, the monitor's
+    verdict ledger and the solver pool's small-set path all run it.
+    *items* arrive in ascending index order, so the sweep stops at the
+    first witness: no later component can hold the deterministic
+    (lowest-index) one.  Every solve is timed
     into *cost_model*, which is what warms the pool's group planner.
     Returns ``{index: witness}`` for every component solved.
     """
@@ -211,12 +212,11 @@ def opt_dcsat(
         workspace, fd_graph, ind_graph, constraint,
         use_coverage=use_coverage, stats=stats,
     )
-    for index, candidates in enumerate(survivors):
-        with obs_span("solve_component", component=index):
-            witness = solve_component(
-                workspace, fd_graph, query, candidates, engine,
-                pivot=pivot, stats=stats,
-            )
+    resolved = sweep_components(
+        workspace, fd_graph, query, list(enumerate(survivors)), engine,
+        default_cost_model(), pivot=pivot, stats=stats,
+    )
+    for witness in resolved.values():
         if witness is not None:
             return DCSatResult(satisfied=False, witness=witness, stats=stats)
     return DCSatResult(satisfied=True, stats=stats)

@@ -31,9 +31,6 @@ class DCSatStats:
     #: Surviving components answered from the monitor's verdict ledger
     #: without re-sweeping (:mod:`repro.core.incremental`).
     components_reused: int = 0
-    #: Dirty components whose stored witness was re-validated against
-    #: the backend instead of re-enumerated.
-    witness_revalidations: int = 0
     #: Components the triggering state change dirtied or pruned in the
     #: ledger (0 on a recompute-from-scratch path).
     dirty_components: int = 0
@@ -67,7 +64,6 @@ class DCSatStats:
         self.assignments_examined += other.assignments_examined
         self.parallel_tasks += other.parallel_tasks
         self.components_reused += other.components_reused
-        self.witness_revalidations += other.witness_revalidations
         self.dirty_components += other.dirty_components
         # Accumulated, so stats merged from pool workers report the true
         # aggregate solve time rather than the last worker's share.

@@ -578,7 +578,7 @@ class FabricMonitor:
         entry.checks_run += 1
         return result
 
-    def status_all(self, batch: bool = True) -> dict[str, DCSatResult]:
+    def status_all(self) -> dict[str, DCSatResult]:
         """Scatter-gather: every populated shard sweeps concurrently,
         each over the pending transactions its constraints can observe.
         """
@@ -588,7 +588,7 @@ class FabricMonitor:
         merged: dict[str, DCSatResult] = {}
         if populated:
             for shard, payload, elapsed, spans in self._scatter(
-                populated, "status_all", batch=batch
+                populated, "status_all"
             ):
                 sp = None
                 if parent is not None:

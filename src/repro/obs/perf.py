@@ -3,13 +3,11 @@
 Per-component solve timings (the per-solve
 :class:`~repro.core.results.DCSatStats` the solver pool and sequential
 paths already produce) feed a rolling :class:`CostModel`: exponentially
-weighted moving averages of solve cost, keyed by **component size
-bucket × mode** (``"sweep"`` for full clique sweeps, ``"revalidate"``
-for the verdict ledger's cheap probes).  The model
-answers two questions:
+weighted moving averages of clique-sweep cost, keyed by **component
+size bucket**.  The model answers two questions:
 
 * *Prediction* — :meth:`CostModel.predict` estimates how long a
-  component of a given size will take in a given mode, so
+  component of a given size will take to sweep, so
   :class:`~repro.service.pool.SolverPool` can bin-pack components into
   worker groups by predicted cost instead of striping them round-robin.
 * *Exposition* — every observation lands in the default metrics
@@ -66,15 +64,9 @@ def bucket_label(bucket: int) -> str:
 
 @dataclass
 class CostEstimate:
-    """The rolling state of one (size bucket, mode) key."""
+    """The rolling state of one size bucket."""
 
     bucket: int
-    #: What kind of work was timed: ``"sweep"`` (a full per-component
-    #: clique sweep) or ``"revalidate"`` (the verdict ledger's witness /
-    #: short-circuit probe — docs/INCREMENTAL.md).  Kept as a separate
-    #: key dimension so the probe series never pollutes the sweep
-    #: predictions the pool's bin-packing reads.
-    mode: str = "sweep"
     ewma_seconds: float = 0.0
     ewma_size: float = 0.0
     ewma_cliques: float = 0.0
@@ -84,7 +76,6 @@ class CostEstimate:
     def to_dict(self) -> dict:
         return {
             "size_bucket": bucket_label(self.bucket),
-            "mode": self.mode,
             "ewma_seconds": self.ewma_seconds,
             "ewma_size": self.ewma_size,
             "ewma_cliques": self.ewma_cliques,
@@ -100,7 +91,7 @@ class CostModel:
     alpha: float = DEFAULT_ALPHA
     warm_after: int = DEFAULT_WARM_AFTER
     export_metrics: bool = True
-    _estimates: dict[tuple[int, str], CostEstimate] = field(
+    _estimates: dict[int, CostEstimate] = field(
         default_factory=dict, repr=False
     )
     _observations: int = field(default=0, repr=False)
@@ -108,20 +99,14 @@ class CostModel:
 
     # -- ingestion ------------------------------------------------------
 
-    def observe(
-        self,
-        seconds: float,
-        size: int,
-        cliques: int = 0,
-        mode: str = "sweep",
-    ) -> None:
+    def observe(self, seconds: float, size: int, cliques: int = 0) -> None:
         """Fold one per-component solve timing into the model."""
-        key = (size_bucket(size), mode)
+        bucket = size_bucket(size)
         with self._lock:
-            estimate = self._estimates.get(key)
+            estimate = self._estimates.get(bucket)
             if estimate is None:
-                estimate = CostEstimate(*key)
-                self._estimates[key] = estimate
+                estimate = CostEstimate(bucket)
+                self._estimates[bucket] = estimate
             if estimate.samples == 0:
                 estimate.ewma_seconds = seconds
                 estimate.ewma_size = float(size)
@@ -142,7 +127,7 @@ class CostModel:
             registry.gauge(
                 "repro_cost_model_estimate_seconds",
                 "EWMA solve cost per component, by size bucket.",
-                labels={"bucket": bucket_label(key[0]), "mode": mode},
+                labels={"bucket": bucket_label(bucket)},
             ).set(exported)
             registry.counter(
                 "repro_cost_model_observations_total",
@@ -162,32 +147,25 @@ class CostModel:
         with self._lock:
             return self._observations >= self.warm_after
 
-    def predict(self, size: int, mode: str = "sweep") -> float | None:
+    def predict(self, size: int) -> float | None:
         """Predicted solve seconds for a component of *size*, or ``None``
         when the model holds nothing usable.
 
-        An exact (bucket, mode) hit answers directly; a miss falls back
-        to the nearest observed bucket under the same mode, scaled
-        linearly by the size ratio — a
+        An exact bucket hit answers directly; a miss falls back to the
+        nearest observed bucket, scaled linearly by the size ratio — a
         coarse extrapolation, but bin-packing only needs the relative
         order of component costs, not their absolute values.
         """
         bucket = size_bucket(size)
         with self._lock:
-            exact = self._estimates.get((bucket, mode))
+            exact = self._estimates.get(bucket)
             if exact is not None and exact.samples > 0:
                 return exact.ewma_seconds
             candidates = [
                 estimate
-                for (_, m), estimate in self._estimates.items()
-                if m == mode and estimate.samples > 0
+                for estimate in self._estimates.values()
+                if estimate.samples > 0
             ]
-            if not candidates:
-                candidates = [
-                    estimate
-                    for estimate in self._estimates.values()
-                    if estimate.samples > 0
-                ]
             if not candidates:
                 return None
             nearest = min(candidates, key=lambda est: abs(est.bucket - bucket))
@@ -202,7 +180,7 @@ class CostModel:
         with self._lock:
             estimates = sorted(
                 (estimate.to_dict() for estimate in self._estimates.values()),
-                key=lambda row: (row["mode"], row["ewma_size"]),
+                key=lambda row: row["ewma_size"],
             )
             observations = self._observations
         return {

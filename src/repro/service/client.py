@@ -314,10 +314,8 @@ class ServiceClient:
             "status", deadline=deadline, name=name, use_subsumption=use_subsumption
         )
 
-    def status_all(
-        self, batch: bool = True, deadline: float | None = None
-    ) -> dict:
-        return self.call("status_all", deadline=deadline, batch=batch)
+    def status_all(self, deadline: float | None = None) -> dict:
+        return self.call("status_all", deadline=deadline)
 
     def violated(self, deadline: float | None = None) -> dict:
         return self.call("violated", deadline=deadline)

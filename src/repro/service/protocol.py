@@ -154,7 +154,6 @@ def stats_to_wire(stats: DCSatStats) -> dict:
         "evaluations": stats.evaluations,
         "parallel_tasks": stats.parallel_tasks,
         "components_reused": stats.components_reused,
-        "witness_revalidations": stats.witness_revalidations,
         "dirty_components": stats.dirty_components,
         "elapsed_seconds": stats.elapsed_seconds,
     }

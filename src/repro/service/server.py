@@ -248,7 +248,7 @@ class ConstraintService:
             payload["cached"] = cached
             return payload
         if op == "status_all":
-            verdicts = monitor.status_all(batch=args.get("batch", True))
+            verdicts = monitor.status_all()
             return {
                 name: protocol.result_to_wire(result)
                 for name, result in verdicts.items()
@@ -644,7 +644,7 @@ class ConstraintService:
         }
         ledger_stats = getattr(self.monitor, "ledger_stats", None)
         if callable(ledger_stats):
-            # Reuse / revalidation counters for the incremental verdict
+            # Reuse / sweep counters for the incremental verdict
             # ledger (docs/INCREMENTAL.md) — the perf story of a churn
             # workload is the reused:swept ratio, not the raw latency.
             payload["ledger"] = ledger_stats()

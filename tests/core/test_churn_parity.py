@@ -4,9 +4,8 @@ recompute after *every* event of a seeded mempool-style trace.
 The incremental monitor and a recompute mirror (``incremental=False``)
 receive the same stream of issue / commit / forget / absorb events over
 a schema mixing fd cliques, inclusion dependencies and co-written
-relations; after each event every constraint's verdict — and, under the
-default ``witness_mode="strict"``, its witness — must be identical, and
-each op's invalidation list must agree.  Parameterized over backends
+relations; after each event every constraint's verdict and witness must
+be identical, and each op's invalidation list must agree.  Parameterized over backends
 (the second id names the one engine the stats report);
 ``REPRO_CHURN_EVENTS`` scales the trace length
 (default 200, the acceptance floor).
@@ -21,9 +20,7 @@ import pytest
 
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
-from repro.core.incremental import revalidate_witness
 from repro.core.monitor import ConstraintMonitor
-from repro.query.parser import parse_query
 from repro.relational.constraints import ConstraintSet, InclusionDependency, Key
 from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
@@ -115,7 +112,7 @@ def apply_event(monitor, kind, payload):
     return monitor.absorb(payload)
 
 
-def assert_verdict_parity(incremental, mirror, event_index, strict=True):
+def assert_verdict_parity(incremental, mirror, event_index):
     for name in CHURN_CONSTRAINTS:
         lhs = incremental.status(name, use_subsumption=False)
         rhs = mirror.status(name, use_subsumption=False)
@@ -123,11 +120,10 @@ def assert_verdict_parity(incremental, mirror, event_index, strict=True):
             f"verdict diverged for {name!r} after event {event_index}: "
             f"ledger={lhs.satisfied} fresh={rhs.satisfied}"
         )
-        if strict:
-            assert lhs.witness == rhs.witness, (
-                f"witness diverged for {name!r} after event {event_index}: "
-                f"ledger={lhs.witness} fresh={rhs.witness}"
-            )
+        assert lhs.witness == rhs.witness, (
+            f"witness diverged for {name!r} after event {event_index}: "
+            f"ledger={lhs.witness} fresh={rhs.witness}"
+        )
 
 
 CONFIGURATIONS = [
@@ -156,46 +152,6 @@ def test_churn_parity(backend, engine):
     # The trace must actually have exercised the ledger.
     assert incremental.ledger.counters["reused"] > 0
     assert incremental.ledger.counters["swept"] > 0
-
-
-def test_churn_parity_revalidate_mode():
-    """``witness_mode="revalidate"`` guarantees verdict parity; its
-    witnesses are valid violating possible worlds (possibly non-maximal,
-    so no bit-identity assertion — docs/INCREMENTAL.md)."""
-    incremental = ConstraintMonitor(
-        DCSatChecker(churn_db()), witness_mode="revalidate"
-    )
-    mirror = ConstraintMonitor(DCSatChecker(churn_db()), incremental=False)
-    for monitor in (incremental, mirror):
-        for name, query in CHURN_CONSTRAINTS.items():
-            monitor.register(name, query)
-    for index, (kind, payload) in enumerate(churn_events(7, EVENTS)):
-        apply_event(incremental, kind, payload)
-        apply_event(mirror, kind, payload)
-        assert_verdict_parity(incremental, mirror, index, strict=False)
-        for name in CHURN_CONSTRAINTS:
-            witness = incremental.status(name, use_subsumption=False).witness
-            if witness is not None:
-                checker = incremental.checker
-                assert revalidate_witness(
-                    checker.workspace,
-                    checker.engine,
-                    parse_query(CHURN_CONSTRAINTS[name]),
-                    witness,
-                ), f"invalid witness for {name!r} after event {index}"
-                checker.workspace.clear_active()
-    # Deterministic epilogue: the random trace may end with every
-    # constraint fast-path-decidable, so force one dirty-entry probe.
-    # B(7, ...) is outside the trace's key range: never committed, so
-    # the check always reaches the ledger.
-    for monitor in (incremental, mirror):
-        monitor.register("late", "q() <- B(7, 'x'), B(7, 'y')")
-        monitor.issue(Transaction({"B": [(7, "x")]}, tx_id="EP-X"))
-        monitor.issue(Transaction({"B": [(7, "y")]}, tx_id="EP-Y"))
-        assert monitor.status("late").satisfied
-        monitor.absorb(Transaction({"B": [(8, "q")]}, tx_id="EP-ABS"))
-        assert monitor.status("late").satisfied
-    assert incremental.ledger.counters["revalidations"] > 0
 
 
 def test_coupled_closure_commit_parity():

@@ -2,8 +2,7 @@
 
 Unit tests for :class:`~repro.core.incremental.VerdictLedger` (keying,
 pruning, blanket dirtying, epoch resets, LRU eviction) plus the monitor
-behaviors the tentpole promises: component reuse after unrelated churn,
-witness revalidation under ``witness_mode="revalidate"``, and the
+behaviors it promises: component reuse after unrelated churn and the
 subsumption-staleness regression.
 """
 
@@ -13,14 +12,8 @@ import pytest
 
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
-from repro.core.incremental import (
-    VerdictLedger,
-    component_footprint,
-    component_still_satisfied,
-    revalidate_witness,
-)
+from repro.core.incremental import VerdictLedger, component_footprint
 from repro.core.monitor import ConstraintMonitor
-from repro.query.parser import parse_query
 from repro.relational.constraints import ConstraintSet, InclusionDependency, Key
 from repro.relational.database import Database, make_schema
 from repro.relational.transaction import Transaction
@@ -65,7 +58,7 @@ class TestLedgerKeys:
 
     @pytest.mark.parametrize("kind", ["commit", "absorb"])
     def test_base_growth_blankets_invalidated_constraints(self, kind):
-        ledger = VerdictLedger()  # strict: dirty entries are dropped
+        ledger = VerdictLedger()
         store(ledger, "c", {"T1"})
         store(ledger, "c", {"T2"})
         store(ledger, "d", {"T3"})
@@ -76,18 +69,6 @@ class TestLedgerKeys:
         # Non-invalidated constraints keep their entries exactly.
         assert ledger.plan("d", 1, [{"T3"}])[0][0] == "reuse"
         assert ledger.plan("c", 1, [{"T1"}])[0][0] == "sweep"
-
-    def test_revalidate_mode_marks_instead_of_dropping(self):
-        ledger = VerdictLedger(witness_mode="revalidate")
-        store(ledger, "c", {"T1"}, witness=frozenset({"T1"}))
-        ledger.note_change("absorb", None, ["c"], epoch=1)
-        plan = ledger.plan("c", 1, [{"T1"}])
-        assert plan[0][0] == "revalidate"
-        assert plan[0][1].witness == frozenset({"T1"})
-
-    def test_bad_witness_mode_rejected(self):
-        with pytest.raises(ValueError):
-            VerdictLedger(witness_mode="sloppy")
 
 
 class TestLedgerLifecycle:
@@ -132,40 +113,6 @@ class TestLedgerLifecycle:
 
 
 class TestRevalidationHelpers:
-    def test_witness_revalidation_round_trip(self, figure2):
-        checker = DCSatChecker(figure2)
-        query = parse_query(QS_U8)
-        witness = frozenset({"T1", "T2", "T3", "T4"})
-        assert revalidate_witness(
-            checker.workspace, checker.engine, query, witness
-        )
-        # A world missing T4's inputs is not a possible world anymore.
-        assert not revalidate_witness(
-            checker.workspace, checker.engine, query, frozenset({"T4"})
-        )
-        checker.workspace.clear_active()
-
-    def test_departed_witness_member_fails_fast(self, figure2):
-        checker = DCSatChecker(figure2)
-        checker.forget("T4")
-        assert not revalidate_witness(
-            checker.workspace,
-            checker.engine,
-            parse_query(QS_U8),
-            frozenset({"T1", "T2", "T3", "T4"}),
-        )
-
-    def test_component_short_circuit(self, figure2):
-        checker = DCSatChecker(figure2)
-        query = parse_query("q() <- TxOut(t, s, 'NobodyPk', a)")
-        assert component_still_satisfied(
-            checker.engine, query, {"T1", "T2", "T3", "T4", "T5"}
-        )
-        assert not component_still_satisfied(
-            checker.engine, parse_query(QS_U8), {"T1", "T2", "T3", "T4", "T5"}
-        )
-        checker.workspace.clear_active()
-
     def test_component_footprint(self, figure2):
         assert component_footprint(figure2, {"T1"}) == frozenset(
             {"TxIn", "TxOut"}
@@ -294,52 +241,6 @@ class TestCommitAfterIssue:
             assert getattr(served.stats, counter) == getattr(
                 fresh.stats, counter
             ), counter
-
-
-class TestRevalidateMode:
-    def test_witness_revalidation_keeps_the_verdict(self, figure2):
-        monitor = ConstraintMonitor(
-            DCSatChecker(figure2), witness_mode="revalidate"
-        )
-        monitor.register("u8", QS_U8)
-        first = monitor.status("u8")
-        assert not first.satisfied
-        # Absorbing an unrelated committed fact dirties (not drops) the
-        # entries; the stored witness survives one cheap probe.
-        monitor.absorb(
-            Transaction({"TxOut": [(100, 1, "QPk", 1.0)]}, tx_id="T-ABS")
-        )
-        second = monitor.status("u8")
-        assert not second.satisfied
-        assert second.stats.witness_revalidations >= 1
-        assert monitor.ledger.counters["revalidation_hits"] >= 1
-        assert second.witness == first.witness
-
-    def test_satisfied_component_probe(self):
-        monitor = ConstraintMonitor(
-            DCSatChecker(ind_db()), witness_mode="revalidate"
-        )
-        monitor.register("orphan", "q() <- C(3, v)")
-        assert monitor.status("orphan").satisfied
-        monitor.absorb(Transaction({"P": [(9,)]}, tx_id="V-ABS"))
-        again = monitor.status("orphan")
-        assert again.satisfied
-        assert again.stats.witness_revalidations >= 1
-
-    def test_failed_probe_falls_back_to_the_sweep(self):
-        monitor = ConstraintMonitor(
-            DCSatChecker(ind_db()), witness_mode="revalidate"
-        )
-        monitor.register("orphan", "q() <- C(3, v)")
-        assert monitor.status("orphan").satisfied
-        # P(3) arrives committed: V4 becomes appendable and the verdict
-        # flips; the component-scope short-circuit probe must fail and
-        # the re-sweep must find the violation.
-        monitor.absorb(Transaction({"P": [(3,)]}, tx_id="V-P3"))
-        flipped = monitor.status("orphan")
-        assert not flipped.satisfied
-        assert flipped.witness is not None
-        assert "V4" in flipped.witness
 
 
 class TestSubsumptionStaleness:

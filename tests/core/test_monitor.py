@@ -66,20 +66,37 @@ class TestCaching:
         assert set(monitor.violated()) == {"u8"}
 
 
+def battery_db(batteries: int, keys: int) -> BlockchainDatabase:
+    """*batteries* decoupled relations, each with *keys* pending pairs
+    that conflict on their key: one two-world component per key."""
+    relations = [f"R{b}" for b in range(batteries)]
+    schema = make_schema({name: ["k", "v"] for name in relations})
+    constraints = ConstraintSet(
+        schema, [Key(name, ["k"], schema) for name in relations]
+    )
+    state = Database.from_dict(schema, {name: [] for name in relations})
+    pending = [
+        Transaction({name: [(key, value)]}, tx_id=f"{name}K{key}{value}")
+        for name in relations
+        for key in range(keys)
+        for value in ("a", "b")
+    ]
+    return BlockchainDatabase(state, constraints, pending)
+
+
 class TestBatchedStatus:
-    def test_status_all_uses_one_batch(self, monitor):
-        monitor.register("u8", QS_U8)
-        monitor.register("nobody", QS_NONE)
-        monitor.register("u3", "q() <- TxOut(t, s, 'U3Pk', a)")
+    def test_status_all_checks_each_constraint_per_component(self):
+        monitor = ConstraintMonitor(DCSatChecker(battery_db(2, 7)))
+        for b in range(2):
+            monitor.register(f"battery-{b}", f"q() <- R{b}(k, 'a'), R{b}(k, 'b')")
         verdicts = monitor.status_all()
-        assert not verdicts["u8"].satisfied
-        assert verdicts["nobody"].satisfied
-        assert not verdicts["u3"].satisfied
+        assert all(result.satisfied for result in verdicts.values())
         assert all(
             monitor.entry(name).checks_run == 1 for name in monitor.names
         )
-        # Batched entries carry the batch algorithm label.
-        assert monitor.entry("u8").result.stats.algorithm == "batch-naive"
+        # Two worlds per key and battery: 2 * 2 * 7, where one sweep of
+        # the global fd-graph would visit 2^14 worlds per constraint.
+        assert sum(r.stats.worlds_checked for r in verdicts.values()) == 28
 
     def test_non_monotone_entries_fall_back(self, monitor):
         monitor.register("u8", QS_U8)
@@ -90,13 +107,6 @@ class TestBatchedStatus:
         verdicts = monitor.status_all()
         assert "neg" in verdicts
         assert monitor.entry("neg").result.stats.algorithm == "brute"
-
-    def test_batch_disabled(self, monitor):
-        monitor.register("u8", QS_U8)
-        monitor.register("nobody", QS_NONE)
-        verdicts = monitor.status_all(batch=False)
-        assert monitor.entry("u8").result.stats.algorithm != "batch-naive"
-        assert not verdicts["u8"].satisfied
 
 
 class TestSubsumption:
@@ -160,7 +170,7 @@ class TestSubsumption:
             tx = Transaction({"TxOut": [(90 + round_, 1, "ZPk", 1.0)]},
                              tx_id=f"W{round_}")
             monitor.issue(tx)
-            verdicts = monitor.status_all(batch=False)
+            verdicts = monitor.status_all()
             outcomes.append(
                 {name: r.stats.algorithm for name, r in verdicts.items()}
             )

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.blockchain_db import BlockchainDatabase
 from repro.core.checker import DCSatChecker
+from repro.core.monitor import ConstraintMonitor
 from repro.query.analysis import is_connected
 from repro.query.parser import parse_query
 from repro.relational.constraints import ConstraintSet, Key
@@ -68,6 +69,24 @@ def test_opt_misses_the_r_bridged_assignment(bridge_db):
     result2 = checker.check(BRIDGE_QUERY, algorithm="opt", short_circuit=True)
     assert result2.satisfied
     assert result2.stats.short_circuit_result is False
+
+
+def test_monitor_verdict_does_not_depend_on_op_order(bridge_db):
+    """``status_all()`` first and ``status()`` first cache the same
+    verdict for the bridge constraint.  Which verdict is not asserted:
+    both are the documented false negative above."""
+    cached = []
+    for status_all_first in (True, False):
+        monitor = ConstraintMonitor(DCSatChecker(bridge_db))
+        monitor.register("bridge", BRIDGE_QUERY)
+        monitor.register("a-in-b", "q() <- A(x), B(x, y)")
+        if status_all_first:
+            monitor.status_all()
+        else:
+            monitor.status("bridge")
+        result = monitor.entry("bridge").result
+        cached.append((result.satisfied, result.witness, result.stats.algorithm))
+    assert cached[0] == cached[1]
 
 
 def test_direct_link_restores_opt(bridge_db):

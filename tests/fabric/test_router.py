@@ -19,10 +19,9 @@ class FabricRunner:
     asserting invalidation lists and verdicts stay identical — including
     across shard kills injected mid-trace."""
 
-    def __init__(self, db_factory, shards: int, exact_witness: bool = True):
+    def __init__(self, db_factory, shards: int):
         self.fabric = thread_fabric(db_factory, shards=shards)
         self.single = ConstraintMonitor(DCSatChecker(db_factory()))
-        self.exact_witness = exact_witness
 
     def register(self, name, query):
         self.fabric.register(name, query)
@@ -42,12 +41,7 @@ class FabricRunner:
         assert set(got) == set(want)
         for name in want:
             assert got[name].satisfied == want[name].satisfied, name
-            if self.exact_witness:
-                assert got[name].witness == want[name].witness, name
-            else:
-                assert (got[name].witness is None) == (
-                    want[name].witness is None
-                ), name
+            assert got[name].witness == want[name].witness, name
 
     def close(self):
         self.fabric.close()
@@ -84,9 +78,7 @@ class TestParity:
     def test_ind_coupled_commit_flip_beside_loner_traffic(self):
         # The commit into Parent must reach the Child constraint's shard
         # while the loner D shard holds a pending transaction of its own.
-        # Witnesses are compared for presence only: one monitor's batch
-        # sweep may add TD to the no-child world, the shard never sees it.
-        runner = FabricRunner(parent_child_db, shards=2, exact_witness=False)
+        runner = FabricRunner(parent_child_db, shards=2)
         try:
             runner.register("no-child", "q() <- Child(c, p, t)")
             runner.register("d-conflict", "q() <- D(k, 'x'), D(k, 'y')")
@@ -141,11 +133,8 @@ class TestParity:
     @pytest.mark.parametrize("shards", [2, 3])
     def test_randomized_traces_with_registrations(self, seed, shards):
         # Mid-trace registrations drain what the new entry observes.
-        # Witnesses are compared for presence only: a shard that
-        # backlogged a commit still names the transaction as pending
-        # (see test_witness_names_only_globally_pending_transactions).
         rng = random.Random(seed)
-        runner = FabricRunner(two_relation_db, shards=shards, exact_witness=False)
+        runner = FabricRunner(two_relation_db, shards=shards)
         try:
             runner.register("a-conflict", "q() <- A(k, 'x'), A(k, 'y')")
             runner.register("b-conflict", "q() <- B(k, 'x'), B(k, 'y')")
@@ -256,11 +245,6 @@ class TestParity:
             runner.check_verdicts()
 
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a shard that backlogged a commit reports its stale "
-        "pending set in batch-sweep witnesses",
-    )
     def test_witness_names_only_globally_pending_transactions(
         self, decoupled_runner
     ):
@@ -275,8 +259,8 @@ class TestParity:
         # Decoupled again: the B shard backlogs this commit.
         runner.op("commit", "TA")
         runner.op("issue", Transaction({"B": [(3, "x")]}, tx_id="TB"))
-        # The B shard's batch sweep picks the world {TA, TB}; TA is
-        # committed, so one monitor reports {TB}.
+        # The B shard still holds TA as pending; its per-constraint
+        # check must name only {TB}, as one monitor does.
         runner.check_verdicts()
 
 

@@ -78,20 +78,6 @@ class TestCostModel:
         # And downward, toward tiny components.
         assert model.predict(2) == pytest.approx(0.25)
 
-    def test_sweep_and_revalidate_estimates_stay_apart(self):
-        model = self.model()
-        model.observe(100.0, 8)
-        model.observe(1.0, 8, mode="revalidate")
-        assert model.predict(8) == 100.0
-        assert model.predict(8, mode="revalidate") == 1.0
-        # The nearest-bucket fallback also stays within its mode.
-        assert model.predict(64) == pytest.approx(800.0)
-        assert model.predict(64, mode="revalidate") == pytest.approx(8.0)
-        # A mode never observed still answers from whatever the model holds.
-        model = self.model()
-        model.observe(1.0, 8, mode="revalidate")
-        assert model.predict(8) == 1.0
-
     def test_snapshot_shape(self):
         model = self.model(warm_after=1)
         model.observe(0.25, 12, cliques=7)
@@ -101,7 +87,7 @@ class TestCostModel:
         assert snap["warm_after"] == 1
         row = snap["estimates"][0]
         assert row["size_bucket"] == "8-15"
-        assert row["mode"] == "sweep"
+        assert "mode" not in row
         assert "engine" not in row and "planner" not in row
         assert row["ewma_seconds"] == 0.25
         assert row["ewma_cliques"] == 7.0
@@ -127,7 +113,7 @@ class TestCostModel:
             metrics_module._DEFAULT_REGISTRY = original
         text = registry.render_text()
         assert (
-            'repro_cost_model_estimate_seconds{bucket="8-15",mode="sweep"} 0.5'
+            'repro_cost_model_estimate_seconds{bucket="8-15"} 0.5'
             in text
         )
         assert "repro_cost_model_observations_total 1" in text

@@ -29,6 +29,8 @@ PACKAGES = [
     "repro.reductions",
     "repro.likelihood",
     "repro.obs",
+    "repro.service",
+    "repro.fabric",
 ]
 
 
