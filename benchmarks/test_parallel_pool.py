@@ -168,114 +168,6 @@ def bench_json_artifact():
     )
 
 
-def skewed_db(
-    giant_keys: int = 18,
-    giant_values: int = 12,
-    tiny: int = 12,
-    tiny_keys: int = 3,
-    tiny_values: int = 3,
-) -> BlockchainDatabase:
-    """One giant component (cid 0) plus *tiny* small ones — the skewed
-    workload where round-robin striping rides extra components along
-    with the giant while other workers idle."""
-    schema = make_schema({"R": ["cid", "k", "v"]})
-    constraints = ConstraintSet(
-        schema, [FunctionalDependency("R", ["cid"], ["v"])]
-    )
-    state = Database.from_dict(schema, {"R": []})
-    shapes = [(0, giant_keys, giant_values)] + [
-        (cid, tiny_keys, tiny_values) for cid in range(1, tiny + 1)
-    ]
-    pending = [
-        Transaction({"R": [(cid, key, f"v{v}")]}, tx_id=f"C{cid}K{key}V{v}")
-        for cid, keys, values in shapes
-        for key in range(keys)
-        for v in range(values)
-    ]
-    return BlockchainDatabase(state, constraints, pending)
-
-
-def test_warm_cost_model_groups_skew_tighter_than_round_robin():
-    """The tentpole acceptance: on one-giant-plus-many-tiny, a warm cost
-    model bin-packs the giant component alone, with measurably lower
-    predicted makespan imbalance than round-robin striping — and the
-    verdicts never change."""
-    from repro.obs.perf import CostModel
-    from repro.service.pool import SolverPool, group_imbalance
-
-    giant_keys, giant_values, tiny, tiny_keys, tiny_values = 18, 12, 12, 3, 3
-    sequential = DCSatChecker(
-        skewed_db(giant_keys, giant_values, tiny, tiny_keys, tiny_values)
-    )
-    checker = DCSatChecker(
-        skewed_db(giant_keys, giant_values, tiny, tiny_keys, tiny_values)
-    )
-    model = CostModel(export_metrics=False)
-    pool = SolverPool(checker, max_workers=4, cost_model=model)
-    try:
-        # Cold pool: the first check plans round-robin and, component by
-        # component, teaches the model what each size bucket costs.
-        assert not model.warm
-        expected = sequential.check(Q_SATISFIED, algorithm="opt")
-        cold = pool.check(Q_SATISFIED)
-        assert cold.satisfied == expected.satisfied
-        assert model.warm, "one full sweep must warm the model"
-
-        # Same component shapes the solve just saw, as a planning input.
-        sizes = [giant_keys * giant_values] + [tiny_keys * tiny_values] * tiny
-        survivors = [
-            {f"s{i}-{j}" for j in range(size)} for i, size in enumerate(sizes)
-        ]
-        cost_groups, strategy, _ = pool.plan_groups(survivors)
-        assert strategy == "cost"
-        rr_groups, _, _ = pool.plan_groups(survivors, strategy="round-robin")
-
-        def predicted_loads(groups):
-            return [
-                sum(
-                    model.predict(len(survivors[index]))
-                    for index in group
-                )
-                for group in groups
-            ]
-
-        cost_imbalance = group_imbalance(predicted_loads(cost_groups))
-        rr_imbalance = group_imbalance(predicted_loads(rr_groups))
-        # The cost plan isolates the giant; round-robin makes the
-        # giant's worker carry extra tinies on top.
-        giant_group = next(group for group in cost_groups if 0 in group)
-        assert giant_group == [0]
-        assert cost_imbalance < rr_imbalance, (
-            f"cost planning imbalance {cost_imbalance:.3f} must beat "
-            f"round-robin {rr_imbalance:.3f}"
-        )
-
-        # Warm checks (now cost-planned) still verdict-match, violated
-        # witnesses included.
-        for query in QUERYSET:
-            want = sequential.check(query, algorithm="opt")
-            got = pool.check(query)
-            assert got.satisfied == want.satisfied
-            assert got.witness == want.witness
-
-        from benchmarks.conftest import _bench_json_path, record_bench
-
-        if _bench_json_path() is not None:
-            record_bench(
-                "pool.group_planning",
-                components=1 + tiny,
-                giant=giant_keys * giant_values,
-                tiny=tiny_keys * tiny_values,
-                workers=pool.max_workers,
-                cost_imbalance=cost_imbalance,
-                round_robin_imbalance=rr_imbalance,
-            )
-    finally:
-        pool.shutdown()
-        checker.close()
-        sequential.close()
-
-
 def test_parallel_batch_identical_verdicts():
     # batch_dcsat sweeps maximal cliques *globally* (worlds multiply
     # across components), so the batch comparison uses a small workload.

@@ -208,7 +208,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     spec = ShardSpec(
         db_path=args.database,
         backend=args.backend,
-        pool_size=args.shard_pool_size,
         queue_limit=args.queue_limit,
         deadline=args.deadline,
         log_level=args.log_level,
@@ -397,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7411)
     serve.add_argument(
-        "--pool-size", type=int, default=None,
-        help="solver worker processes (default: CPU count, capped at 8; "
-        "1 disables the pool)",
+        "--pool-size", type=int, default=1,
+        help="solver worker processes (default: 1, which solves inline "
+        "without forking workers)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=64,
@@ -441,11 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument(
         "--shards", type=int, default=2,
         help="shard server subprocesses to spawn and route across",
-    )
-    fabric.add_argument(
-        "--shard-pool-size", type=int, default=1,
-        help="solver worker processes per shard subprocess (1 keeps "
-        "each shard's solver sequential)",
     )
     fabric.add_argument(
         "--queue-limit", type=int, default=64,

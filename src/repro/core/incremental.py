@@ -41,7 +41,7 @@ the solver pool solves only the dirty components
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 #: Ledger entries kept per constraint; the least recently touched entry
@@ -56,15 +56,14 @@ class ComponentVerdict:
 
     ``key`` is the frozenset of member transaction ids (the component's
     surviving candidate set), which the ledger looks entries up by, and
-    ``footprint`` the relations those members write.  ``witness`` is the first violating world the sweep found
-    (``None`` when no world restricted to the component satisfies the
-    query).  ``epoch`` records the checker epoch the sweep ran at.
+    ``footprint`` the relations those members write.  ``witness`` is
+    the first violating world the sweep found (``None`` when no world
+    restricted to the component satisfies the query).
     """
 
     key: frozenset[str]
     footprint: frozenset[str]
     witness: frozenset[str] | None
-    epoch: int
 
 
 def _fresh_counters() -> dict[str, int]:
@@ -78,15 +77,6 @@ def _fresh_counters() -> dict[str, int]:
     }
 
 
-@dataclass
-class _LedgerState:
-    """Per-constraint entry table (insertion order doubles as LRU)."""
-
-    entries: dict[frozenset[str], ComponentVerdict] = field(
-        default_factory=dict
-    )
-
-
 class VerdictLedger:
     """Component-scoped sub-verdicts, maintained across state changes.
 
@@ -98,7 +88,8 @@ class VerdictLedger:
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.max_entries = max_entries
-        self._states: dict[str, _LedgerState] = {}
+        #: Per-constraint entry tables; insertion order doubles as LRU.
+        self._states: dict[str, dict[frozenset[str], ComponentVerdict]] = {}
         #: Checker epoch the ledger last synchronized with.  ``None``
         #: until the first state change or solve; a solve observing an
         #: epoch the monitor never reported (direct checker mutation,
@@ -117,7 +108,7 @@ class VerdictLedger:
 
     @property
     def entry_count(self) -> int:
-        return sum(len(state.entries) for state in self._states.values())
+        return sum(len(entries) for entries in self._states.values())
 
     # -- state-change propagation --------------------------------------
 
@@ -141,10 +132,10 @@ class VerdictLedger:
         if kind in ("forget", "commit") and tx_id is not None:
             # The transaction left the pending set: entries containing
             # it can never match a future survivor again.
-            for name, state in self._states.items():
-                stale = [key for key in state.entries if tx_id in key]
+            for name, entries in self._states.items():
+                stale = [key for key in entries if tx_id in key]
                 for key in stale:
-                    del state.entries[key]
+                    del entries[key]
                 if stale:
                     self.counters["pruned"] += len(stale)
                     affected[name] = affected.get(name, 0) + len(stale)
@@ -154,11 +145,11 @@ class VerdictLedger:
             # are dropped wholesale (see the module docstring for why a
             # footprint-refined rule would be unsound).
             for name in invalidated:
-                state = self._states.get(name)
-                if state is None or not state.entries:
+                entries = self._states.get(name)
+                if not entries:
                     continue
-                count = len(state.entries)
-                state.entries.clear()
+                count = len(entries)
+                entries.clear()
                 self.counters["dirtied"] += count
                 affected[name] = affected.get(name, 0) + count
         return affected
@@ -167,12 +158,12 @@ class VerdictLedger:
 
     def plan(
         self, name: str, epoch: int, survivors: list[set[str]]
-    ) -> list[tuple[str, ComponentVerdict | None]]:
-        """Disposition for each surviving component, in survivor order.
+    ) -> list[ComponentVerdict | None]:
+        """The stored sub-verdict of each surviving component, in
+        survivor order.
 
-        ``("reuse", entry)`` — key hit, the stored sub-verdict is
-        exactly what a fresh sweep would produce; ``("sweep", None)`` —
-        no entry, run the clique sweep.
+        An entry is exactly what a fresh sweep would produce; ``None``
+        means no entry, run the clique sweep.
         """
         if self._epoch is None:
             self._epoch = epoch
@@ -182,17 +173,8 @@ class VerdictLedger:
             self.clear()
             self.counters["epoch_resets"] += 1
             self._epoch = epoch
-        state = self._states.get(name)
-        plan: list[tuple[str, ComponentVerdict | None]] = []
-        for candidates in survivors:
-            entry = None if state is None else state.entries.get(
-                frozenset(candidates)
-            )
-            if entry is None:
-                plan.append(("sweep", None))
-            else:
-                plan.append(("reuse", entry))
-        return plan
+        entries = self._states.get(name, {})
+        return [entries.get(frozenset(candidates)) for candidates in survivors]
 
     def store(
         self,
@@ -200,30 +182,27 @@ class VerdictLedger:
         candidates: Iterable[str],
         footprint: frozenset[str],
         witness: frozenset[str] | None,
-        epoch: int,
     ) -> ComponentVerdict:
         """Record (or refresh) one component sub-verdict."""
         key = frozenset(candidates)
-        state = self._states.setdefault(name, _LedgerState())
+        entries = self._states.setdefault(name, {})
         # Re-inserting moves the key to the end of the dict, which is
         # the LRU order eviction walks from the front.
-        state.entries.pop(key, None)
-        entry = ComponentVerdict(
-            key=key, footprint=footprint, witness=witness, epoch=epoch
-        )
-        state.entries[key] = entry
-        while len(state.entries) > self.max_entries:
-            oldest = next(iter(state.entries))
-            del state.entries[oldest]
+        entries.pop(key, None)
+        entry = ComponentVerdict(key=key, footprint=footprint, witness=witness)
+        entries[key] = entry
+        while len(entries) > self.max_entries:
+            oldest = next(iter(entries))
+            del entries[oldest]
             self.counters["evicted"] += 1
         return entry
 
     def touch(self, name: str, entry: ComponentVerdict) -> None:
         """Refresh an entry's LRU position after a reuse."""
-        state = self._states.get(name)
-        if state is not None and entry.key in state.entries:
-            state.entries.pop(entry.key)
-            state.entries[entry.key] = entry
+        entries = self._states.get(name)
+        if entries is not None and entry.key in entries:
+            entries.pop(entry.key)
+            entries[entry.key] = entry
 
     # -- exposition ----------------------------------------------------
 

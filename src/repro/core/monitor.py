@@ -25,7 +25,6 @@ from repro.core.incremental import VerdictLedger, component_footprint
 from repro.core.opt import component_survivors, sweep_components
 from repro.core.results import DCSatResult, DCSatStats
 from repro.errors import ReproError
-from repro.obs.perf import default_cost_model
 from repro.obs.trace import span as obs_span
 from repro.query.analysis import CompiledConstraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
@@ -348,8 +347,8 @@ class ConstraintMonitor:
         cutoff are irrelevant either way.
         """
         sweep_indices: list[int] = []
-        for index, (disposition, ledger_entry) in enumerate(plan):
-            if disposition == "sweep":
+        for index, ledger_entry in enumerate(plan):
+            if ledger_entry is None:
                 sweep_indices.append(index)
                 continue
             stats.components_reused += 1
@@ -411,8 +410,7 @@ class ConstraintMonitor:
         else:
             resolved = sweep_components(
                 checker.workspace, checker.fd_graph, query, items,
-                checker.engine, default_cost_model(),
-                pivot=pivot, stats=stats,
+                checker.engine, pivot=pivot, stats=stats,
             )
         best_index: int | None = None
         best_witness: frozenset[str] | None = None
@@ -423,7 +421,6 @@ class ConstraintMonitor:
                 survivors[index],
                 component_footprint(checker.db, survivors[index]),
                 witness,
-                checker.epoch,
             )
             if witness is not None and (
                 best_index is None or index < best_index

@@ -25,8 +25,6 @@ crafted instance demonstrating the divergence, and
 
 from __future__ import annotations
 
-import time
-
 from repro.core.coverage import covers, uncovered_contributors
 from repro.core.engine import SyncEngine
 from repro.core.fd_graph import FdTransactionGraph
@@ -35,7 +33,6 @@ from repro.core.naive import maximal_worlds
 from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError
-from repro.obs.perf import CostModel, default_cost_model
 from repro.obs.trace import span as obs_span
 from repro.query.analysis import CompiledConstraint
 from repro.query.ast import AggregateQuery, ConjunctiveQuery
@@ -148,7 +145,6 @@ def sweep_components(
     query: ConjunctiveQuery | AggregateQuery,
     items: list[tuple[int, set[str]]],
     engine: SyncEngine,
-    cost_model: CostModel,
     pivot: bool = True,
     stats: DCSatStats | None = None,
 ) -> dict[int, frozenset[str] | None]:
@@ -158,25 +154,16 @@ def sweep_components(
     verdict ledger and the solver pool's small-set path all run it.
     *items* arrive in ascending index order, so the sweep stops at the
     first witness: no later component can hold the deterministic
-    (lowest-index) one.  Every solve is timed
-    into *cost_model*, which is what warms the pool's group planner.
-    Returns ``{index: witness}`` for every component solved.
+    (lowest-index) one.  Returns ``{index: witness}`` for every
+    component solved.
     """
-    stats = stats if stats is not None else DCSatStats()
     resolved: dict[int, frozenset[str] | None] = {}
     for index, candidates in items:
-        cliques_before = stats.cliques_enumerated
-        started = time.perf_counter()
         with obs_span("solve_component", component=index):
             witness = solve_component(
                 workspace, fd_graph, query, candidates, engine,
                 pivot=pivot, stats=stats,
             )
-        cost_model.observe(
-            time.perf_counter() - started,
-            len(candidates),
-            cliques=stats.cliques_enumerated - cliques_before,
-        )
         resolved[index] = witness
         if witness is not None:
             break
@@ -214,7 +201,7 @@ def opt_dcsat(
     )
     resolved = sweep_components(
         workspace, fd_graph, query, list(enumerate(survivors)), engine,
-        default_cost_model(), pivot=pivot, stats=stats,
+        pivot=pivot, stats=stats,
     )
     for witness in resolved.values():
         if witness is not None:

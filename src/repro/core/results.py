@@ -19,9 +19,8 @@ class DCSatStats:
     components_total: int = 0
     components_pruned: int = 0
     #: Largest surviving component (pending transactions) the solve
-    #: touched — the size axis of the perf cost model
-    #: (:mod:`repro.obs.perf`): clique-sweep cost grows with ``2^K``,
-    #: so this single number explains most of a check's latency.
+    #: touched: clique-sweep cost grows with ``2^K``, so this single
+    #: number explains most of a check's latency.
     max_component_size: int = 0
     cliques_enumerated: int = 0
     worlds_checked: int = 0

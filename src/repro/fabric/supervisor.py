@@ -54,7 +54,6 @@ class ShardSpec:
     db_path: str
     host: str = "127.0.0.1"
     backend: str | None = None
-    pool_size: int = 1  # 1 = sequential solver, no nested fork pool
     queue_limit: int = 64
     deadline: float = 30.0
     log_level: str = "warning"
@@ -66,7 +65,6 @@ class ShardSpec:
             "serve", self.db_path,
             "--host", self.host,
             "--port", "0",
-            "--pool-size", str(self.pool_size),
             "--queue-limit", str(self.queue_limit),
             "--deadline", str(self.deadline),
         ]

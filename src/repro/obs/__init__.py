@@ -1,6 +1,6 @@
 """repro.obs — dependency-free observability for the DCSat stack.
 
-Three pieces, usable separately or together:
+Five pieces, usable separately or together:
 
 * :mod:`~repro.obs.trace` — a contextvar-based span tracer with
   monotonic-clock timing, per-span attributes folded from
@@ -16,10 +16,9 @@ Three pieces, usable separately or together:
   (``repro serve --http-port``).
 * :mod:`~repro.obs.log` — structured JSON logging correlated with the
   active trace/span (``repro serve --log-level/--log-json``).
-* :mod:`~repro.obs.perf` — the perf telemetry plane: a rolling
-  component :class:`~repro.obs.perf.CostModel` fed by per-solve stats,
-  driving the solver pool's cost-aware group planning and the
-  ``/perfz`` exposition.
+* :mod:`~repro.obs.perf` — :func:`~repro.obs.perf.build_info`, the
+  revision / version / python identity ``/healthz`` and ``/perfz``
+  carry.
 * :mod:`~repro.obs.bench` — committed bench-artifact trend reports and
   the CI regression gate (``repro bench report`` / ``repro bench
   diff``).
@@ -30,7 +29,7 @@ and log schema.
 
 from repro.obs.http import ObservabilityEndpoint
 from repro.obs.log import JsonFormatter, TextFormatter, configure_logging, get_logger
-from repro.obs.perf import CostModel, build_info, default_cost_model
+from repro.obs.perf import build_info
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
@@ -45,9 +44,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "ObservabilityEndpoint",
-    "CostModel",
     "build_info",
-    "default_cost_model",
     "JsonFormatter",
     "TextFormatter",
     "configure_logging",

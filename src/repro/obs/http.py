@@ -9,8 +9,9 @@ dependency-free (hand-rolled request parsing — GET only, no bodies):
   service drains);
 * ``GET /tracez`` — the recent-trace ring as JSON (``?limit=N`` caps
   the count, ``?trace_id=...`` selects one trace);
-* ``GET /perfz`` — the perf telemetry plane: the component cost model
-  (:mod:`repro.obs.perf`) plus latency-histogram quantile summaries.
+* ``GET /perfz`` — the perf telemetry plane: latency-histogram
+  quantile summaries, the serving build and the verdict ledger's
+  counters.
 
 The endpoint is provider-driven: the constructor takes callables, not
 service objects, so it composes with anything (and tests can feed it

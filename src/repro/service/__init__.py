@@ -22,7 +22,7 @@ Run it from the command line with ``repro serve``.
 
 from repro.service.client import ServiceClient
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.pool import PooledDCSatChecker, SolverPool, default_pool_size
+from repro.service.pool import PooledDCSatChecker, SolverPool
 from repro.service.server import ConstraintService, ServiceHandle, serve_in_thread
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "PooledDCSatChecker",
     "SolverPool",
-    "default_pool_size",
     "ConstraintService",
     "ServiceHandle",
     "serve_in_thread",

@@ -18,23 +18,19 @@ parallel.  :class:`SolverPool` fans those units out across a
   executor teardown, so long-lived services never replay unbounded
   logs and never pay worker re-fork latency.
 
-* **Cost-aware group planning.**  Components are packed into at most
-  ``max_workers`` groups before dispatch.  With a warm
-  :class:`~repro.obs.perf.CostModel` (fed by every per-component solve
-  this pool runs), grouping is greedy bin-packing on *predicted* cost —
-  longest predicted component first, into the least-loaded group — so
-  one giant component does not ride with several medium ones while
-  another worker idles.  A cold model falls back to round-robin
-  striping.  The decision (strategy, predicted and observed makespan
-  imbalance) is recorded on the ``parallel_dispatch`` span and in the
+* **Striped groups.**  Components are striped round-robin into at
+  most ``max_workers`` groups before dispatch, so group 0 starts with
+  the lowest index.  The observed makespan imbalance of each dispatch
+  is recorded on the ``parallel_dispatch`` span and in the
   ``repro_pool_group_imbalance`` gauge.
 
 * **Determinism.**  Groups hold ascending component indices and the
   verdict is taken from the *lowest-index* violating component across
   all groups, so ``satisfied`` / ``witness`` are identical to the
-  sequential path regardless of how components were grouped (workers
-  inherit the parent's hash seed under the default ``fork`` start
-  method, keeping clique enumeration order aligned).
+  sequential path however components are grouped (Proposition 2
+  makes them independent; workers inherit the parent's hash seed
+  under the default ``fork`` start method, keeping clique enumeration
+  order aligned).
 
 * **Early stop.**  A worker stops inside its own group at the first
   violating component (everything after it in the group has a higher
@@ -73,7 +69,6 @@ from repro.core.results import DCSatResult, DCSatStats
 from repro.core.workspace import Workspace
 from repro.errors import AlgorithmError, ServiceError
 from repro.obs.log import get_logger
-from repro.obs.perf import CostModel, default_cost_model
 from repro.obs.trace import default_tracer
 from repro.obs.trace import span as obs_span
 from repro.query.analysis import CompiledConstraint, is_monotone
@@ -85,11 +80,6 @@ from repro.storage import make_backend, resolve_backend_name
 Query = ConjunctiveQuery | AggregateQuery
 
 log = get_logger("service.pool")
-
-
-def default_pool_size() -> int:
-    """CPU count, capped at 8 — beyond that, snapshot fan-out dominates."""
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +244,9 @@ def _solve_component_group_task(
     before any component whose index is above a witness another group
     of dispatch *dispatch_id* found (the stop word).  Each solved component
     returns its witness, its own work counters (timed individually, so
-    the coordinator can feed the cost model per component), and the
-    spans it produced — traced locally in this worker process and
-    serialized so the coordinator can re-parent them under the
-    submitting span.
+    the coordinator can measure each group's load), and the spans it
+    produced — traced locally in this worker process and serialized so
+    the coordinator can re-parent them under the submitting span.
     """
     ctx = _sync_worker(*sync)
     workspace: Workspace = ctx["workspace"]
@@ -358,30 +347,22 @@ class SolverPool:
     The pool observes the checker's ``epoch`` counter; record state
     changes with :meth:`record_op` (done automatically by
     :class:`PooledDCSatChecker`) so worker snapshots can be advanced
-    instead of rebuilt.
-
-    *cost_model* (default: the process-wide
-    :func:`~repro.obs.perf.default_cost_model`) learns per-component
-    solve cost from every check this pool runs and, once warm, drives
-    :meth:`plan_groups`' bin-packing.
+    instead of rebuilt.  A one-worker pool never forks: it solves
+    in-process.
     """
 
     def __init__(
         self,
         checker: DCSatChecker,
-        max_workers: int | None = None,
+        max_workers: int = 1,
         backend: str | None = None,
         start_method: str | None = None,
         resync_ops: int = 256,
         min_components: int = 2,
-        cost_model: CostModel | None = None,
     ):
         self.checker = checker
-        self.max_workers = max_workers or default_pool_size()
+        self.max_workers = max_workers
         self._backend_name = resolve_backend_name(backend)
-        self.cost_model = (
-            cost_model if cost_model is not None else default_cost_model()
-        )
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -559,62 +540,6 @@ class SolverPool:
                     stats.elapsed_seconds = time.perf_counter() - started
                 sp.fold_stats(stats)
 
-    def plan_groups(
-        self,
-        survivors: list[set[str]],
-        strategy: str | None = None,
-    ) -> tuple[list[list[int]], str, list[float]]:
-        """Partition component indices into at most ``max_workers`` groups.
-
-        Returns ``(groups, strategy, predicted_loads)``.  Each group is
-        an ascending list of indices into *survivors*; ``strategy`` is
-        ``"cost"`` (greedy bin-packing on the cost model's predictions,
-        longest-predicted-first into the least-loaded group) or
-        ``"round-robin"`` (index striping — the fallback while the
-        model is cold or has no usable prediction).  ``predicted_loads``
-        carries the per-group predicted seconds under ``"cost"`` and is
-        all zeros under ``"round-robin"``.
-
-        *strategy* forces a specific planner (benchmark comparisons);
-        by default the model picks: warm → cost, cold → round-robin.
-        """
-        count = max(1, min(self.max_workers, len(survivors)))
-        groups: list[list[int]] = [[] for _ in range(count)]
-        loads = [0.0] * count
-        if strategy is None:
-            strategy = "cost" if self.cost_model.warm else "round-robin"
-        if strategy == "cost":
-            predictions = [
-                self.cost_model.predict(len(candidates))
-                for candidates in survivors
-            ]
-            if any(prediction is None for prediction in predictions):
-                strategy = "round-robin"
-            else:
-                order = sorted(
-                    range(len(survivors)),
-                    key=lambda i: (-predictions[i], i),
-                )
-                for index in order:
-                    target = min(range(count), key=lambda g: (loads[g], g))
-                    groups[target].append(index)
-                    loads[target] += predictions[index]
-        if strategy == "round-robin":
-            groups = [[] for _ in range(count)]
-            loads = [0.0] * count
-            for index in range(len(survivors)):
-                groups[index % count].append(index)
-        for group in groups:
-            group.sort()
-        planned = [
-            (group, load) for group, load in zip(groups, loads) if group
-        ]
-        return (
-            [group for group, _ in planned],
-            strategy,
-            [load for _, load in planned],
-        )
-
     def solve_components(
         self,
         query: Query,
@@ -637,15 +562,13 @@ class SolverPool:
         """
         stats = stats if stats is not None else DCSatStats()
         if len(items) < max(2, self.min_components) or self.max_workers <= 1:
-            # Too few units to pay for fan-out: sweep in-process, feeding
-            # the same cost model the parallel planner reads.
+            # Too few units to pay for fan-out: sweep in-process.
             return sweep_components(
                 self.checker.workspace,
                 self.checker.fd_graph,
                 query,
                 items,
                 self.checker.engine,
-                self.cost_model,
                 pivot=pivot,
                 stats=stats,
             )
@@ -660,8 +583,8 @@ class SolverPool:
     ) -> dict[int, frozenset[str] | None]:
         """Fan ``(index, candidates)`` units across the worker pool.
 
-        The parallel path of :meth:`solve_components`: plan groups over
-        the given units, dispatch, merge stats/spans/cost observations, and
+        The parallel path of :meth:`solve_components`: stripe the units
+        round-robin into groups, dispatch, merge stats and spans, and
         stop work above the best witness found so far: publish it in the
         stop word for running groups, cancel groups not yet started.
         Returns ``{index: witness}`` for every solved component.
@@ -669,36 +592,21 @@ class SolverPool:
         executor, sync = self._prepare()
         dispatch_id = next(self._dispatch_ids)
         tracer = default_tracer()
-        subset = [candidates for _, candidates in items]
-        position_groups, strategy, predicted = self.plan_groups(subset)
-        # plan_groups speaks positions into *subset*; translate back to
-        # the caller's component indices (ascending within each group,
-        # because items arrive ascending and groups are sorted).
-        groups = [
-            [items[position][0] for position in group]
-            for group in position_groups
-        ]
-        candidates_of = dict(items)
+        units = [(index, tuple(sorted(candidates))) for index, candidates in items]
+        count = min(self.max_workers, len(units))
+        # Striping keeps each group ascending, because *items* is.
+        groups = [tuple(units[offset::count]) for offset in range(count)]
         resolved: dict[int, frozenset[str] | None] = {}
         with obs_span(
             "parallel_dispatch",
             components=len(items),
             workers=self.max_workers,
             groups=len(groups),
-            strategy=strategy,
         ) as dispatch:
-            if strategy == "cost":
-                dispatch.set(
-                    predicted_imbalance=round(group_imbalance(predicted), 4)
-                )
             futures = {}
             for group_index, group in enumerate(groups):
-                payload = tuple(
-                    (index, tuple(sorted(candidates_of[index])))
-                    for index in group
-                )
                 future = executor.submit(
-                    _solve_component_group_task, sync, query, payload, pivot,
+                    _solve_component_group_task, sync, query, group, pivot,
                     dispatch_id,
                 )
                 futures[future] = group_index
@@ -722,11 +630,6 @@ class SolverPool:
                         for index, witness, task_stats, spans in records:
                             stats.merge(task_stats)
                             tracer.adopt(spans, dispatch)
-                            self.cost_model.observe(
-                                task_stats.elapsed_seconds,
-                                task_stats.max_component_size,
-                                cliques=task_stats.cliques_enumerated,
-                            )
                             elapsed += task_stats.elapsed_seconds
                             resolved[index] = witness
                             if witness is not None and (
@@ -743,8 +646,8 @@ class SolverPool:
                         if word is not None:
                             self._stop_word.value = word
                         for future in list(pending):
-                            group = groups[futures[future]]
-                            if group[0] > best_index and future.cancel():
+                            first_index = groups[futures[future]][0][0]
+                            if first_index > best_index and future.cancel():
                                 pending.discard(future)
                                 cancelled += 1
             finally:
@@ -766,11 +669,6 @@ class SolverPool:
                         "dispatch: (max - mean) / mean of per-group solve "
                         "seconds.",
                     ).set(observed)
-                    registry.counter(
-                        "repro_pool_group_plans_total",
-                        "Parallel dispatches, by group-planning strategy.",
-                        labels={"strategy": strategy},
-                    ).inc()
         return resolved
 
     # -- parallel batch checking ---------------------------------------
@@ -860,7 +758,7 @@ class PooledDCSatChecker(DCSatChecker):
         db: BlockchainDatabase,
         backend: str | None = None,
         assume_nonnegative_sums: bool = False,
-        max_workers: int | None = None,
+        max_workers: int = 1,
         start_method: str | None = None,
         resync_ops: int = 256,
     ):

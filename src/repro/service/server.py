@@ -42,7 +42,7 @@ from repro.core.monitor import ConstraintMonitor
 from repro.errors import ReproError, ServiceError
 from repro.obs.http import ObservabilityEndpoint
 from repro.obs.log import get_logger
-from repro.obs.perf import build_info, default_cost_model
+from repro.obs.perf import build_info
 from repro.obs.trace import Span, Tracer, default_tracer
 from repro.service import protocol
 from repro.service.metrics import MetricsRegistry, default_registry
@@ -628,17 +628,15 @@ class ConstraintService:
 
     def _perfz(self) -> tuple[int, dict]:
         """``GET /perfz``: the perf telemetry plane in one payload —
-        the component cost model driving the pool's group planning,
         quantile summaries of every latency histogram (service-local
-        and process-wide), and the serving build for correlation with
-        committed bench artifacts."""
+        and process-wide), the serving build for correlation with
+        committed bench artifacts, and the verdict ledger's counters."""
         summaries = self.metrics.histogram_summaries()
         shared = default_registry()
         if shared is not self.metrics:
             for name, rows in shared.histogram_summaries().items():
                 summaries.setdefault(name, rows)
         payload = {
-            "cost_model": default_cost_model().snapshot(),
             "histograms": summaries,
             "build": self._build_payload(),
         }

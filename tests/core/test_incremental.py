@@ -21,10 +21,8 @@ from repro.relational.transaction import Transaction
 QS_U8 = "q() <- TxOut(t, s, 'U8Pk', a)"
 
 
-def store(ledger, name, candidates, witness=None, epoch=0):
-    return ledger.store(
-        name, candidates, frozenset({"R"}), witness, epoch
-    )
+def store(ledger, name, candidates, witness=None):
+    return ledger.store(name, candidates, frozenset({"R"}), witness)
 
 
 class TestLedgerKeys:
@@ -32,9 +30,8 @@ class TestLedgerKeys:
         ledger = VerdictLedger()
         store(ledger, "c", {"T1", "T2"}, witness=frozenset({"T1"}))
         plan = ledger.plan("c", 0, [{"T1", "T2"}, {"T3"}])
-        assert plan[0][0] == "reuse"
-        assert plan[0][1].witness == frozenset({"T1"})
-        assert plan[1] == ("sweep", None)
+        assert plan[0].witness == frozenset({"T1"})
+        assert plan[1] is None
 
     def test_issue_never_touches_entries(self):
         ledger = VerdictLedger()
@@ -53,8 +50,7 @@ class TestLedgerKeys:
         # Entries containing T1 can never match a future survivor set.
         assert affected == {"c": 1, "d": 1}
         assert ledger.counters["pruned"] == 2
-        plan = ledger.plan("c", 1, [{"T3"}])
-        assert plan[0][0] == "reuse"
+        assert ledger.plan("c", 1, [{"T3"}])[0] is not None
 
     @pytest.mark.parametrize("kind", ["commit", "absorb"])
     def test_base_growth_blankets_invalidated_constraints(self, kind):
@@ -67,8 +63,8 @@ class TestLedgerKeys:
         assert affected == {"c": 2}
         assert ledger.counters["dirtied"] == 2
         # Non-invalidated constraints keep their entries exactly.
-        assert ledger.plan("d", 1, [{"T3"}])[0][0] == "reuse"
-        assert ledger.plan("c", 1, [{"T1"}])[0][0] == "sweep"
+        assert ledger.plan("d", 1, [{"T3"}])[0] is not None
+        assert ledger.plan("c", 1, [{"T1"}])[0] is None
 
 
 class TestLedgerLifecycle:
@@ -76,10 +72,9 @@ class TestLedgerLifecycle:
         # A state change that bypassed the monitor (direct checker
         # mutation) makes every stored sub-verdict untrustworthy.
         ledger = VerdictLedger()
-        store(ledger, "c", {"T1"}, epoch=3)
+        store(ledger, "c", {"T1"})
         ledger.note_change("issue", "T1", [], epoch=3)
-        plan = ledger.plan("c", 7, [{"T1"}])
-        assert plan[0] == ("sweep", None)
+        assert ledger.plan("c", 7, [{"T1"}]) == [None]
         assert ledger.entry_count == 0
         assert ledger.counters["epoch_resets"] == 1
 
@@ -88,12 +83,12 @@ class TestLedgerLifecycle:
         store(ledger, "c", {"T1"})
         store(ledger, "c", {"T2"})
         # Touch T1 so T2 becomes the least recently used entry.
-        entry = ledger.plan("c", 0, [{"T1"}])[0][1]
+        entry = ledger.plan("c", 0, [{"T1"}])[0]
         ledger.touch("c", entry)
         store(ledger, "c", {"T3"})
         assert ledger.counters["evicted"] == 1
-        kinds = [d for d, _ in ledger.plan("c", 0, [{"T1"}, {"T2"}, {"T3"}])]
-        assert kinds == ["reuse", "sweep", "reuse"]
+        plan = ledger.plan("c", 0, [{"T1"}, {"T2"}, {"T3"}])
+        assert [entry is not None for entry in plan] == [True, False, True]
 
     def test_drop_forgets_a_constraint(self):
         ledger = VerdictLedger()

@@ -71,6 +71,43 @@ def q_p3_db(free: int = 6, keys: int = 6) -> BlockchainDatabase:
     return BlockchainDatabase(state, constraints, pending)
 
 
+#: On :func:`skewed_db`: 'v0' and 'v1' never share a cid in a world,
+#: but they do on the pending superset, so every component is swept.
+Q_SKEW_SATISFIED = "q() <- R(c, k1, 'v0'), R(c, k2, 'v1')"
+#: On :func:`skewed_db`: violated in every component (two 'v0' keys).
+Q_SKEW_VIOLATED = "q() <- R(c, k1, 'v0'), R(c, k2, 'v0'), k1 != k2"
+
+
+def skewed_db(
+    giant_keys: int = 8,
+    giant_values: int = 6,
+    tiny: int = 8,
+    tiny_keys: int = 2,
+    tiny_values: int = 2,
+) -> BlockchainDatabase:
+    """One giant component (cid 0) plus *tiny* small ones.
+
+    The FD ``cid -> v`` keeps one value per cid in every world, so a
+    component holds ``keys × values`` pending transactions and
+    ``values`` maximal cliques.
+    """
+    schema = make_schema({"R": ["cid", "k", "v"]})
+    constraints = ConstraintSet(
+        schema, [FunctionalDependency("R", ["cid"], ["v"])]
+    )
+    state = Database.from_dict(schema, {"R": []})
+    shapes = [(0, giant_keys, giant_values)] + [
+        (cid, tiny_keys, tiny_values) for cid in range(1, tiny + 1)
+    ]
+    pending = [
+        r_tx(f"C{cid}K{key}V{value}", cid, key, f"v{value}")
+        for cid, keys, values in shapes
+        for key in range(keys)
+        for value in range(values)
+    ]
+    return BlockchainDatabase(state, constraints, pending)
+
+
 def r_tx(tx_id: str, cid: int, key: int, value: str) -> Transaction:
     return Transaction({"R": [(cid, key, value)]}, tx_id=tx_id)
 

@@ -130,22 +130,17 @@ class TestPooledEndToEnd:
         assert payload["queue_limit"] == server.service.queue_limit
         assert payload["pools"][0]["max_workers"] == 2
 
-    def test_perfz_exposes_the_cost_model_end_to_end(self, server, client):
+    def test_perfz_serves_histograms_build_and_ledger_end_to_end(
+        self, server, client
+    ):
         client.register("perf-conflict", Q_CONFLICT)
         client.status("perf-conflict")
         status, body = http_get(server.http_host, server.http_port, "/perfz")
         assert status == 200
         payload = json.loads(body)
-        # The pooled check above fed the process-wide cost model, and
-        # the scrape renders it: observation counts plus per-bucket
-        # EWMA rows keyed by size bucket.
-        model = payload["cost_model"]
-        assert model["observations"] >= 1
-        assert model["estimates"], "no cost estimates after a pooled check"
-        row = model["estimates"][0]
-        assert {"size_bucket", "ewma_seconds", "samples"} <= set(row)
-        assert "mode" not in row
-        assert "engine" not in row and "planner" not in row
+        assert set(payload) == {"histograms", "build", "ledger"}
+        assert "cost_model" not in payload
+        assert {"constraints", "entries", "counters"} <= set(payload["ledger"])
         # Histogram summaries carry derived quantiles for the hot paths.
         for summary in payload["histograms"].values():
             for series in summary.values():

@@ -24,10 +24,13 @@ from repro.storage import resolve_backend_name
 from tests.service.conftest import (
     Q_ABSENT,
     Q_CONFLICT,
+    Q_SKEW_SATISFIED,
+    Q_SKEW_VIOLATED,
     Q_TWO_A,
     component_db,
     q_p3_db,
     r_tx,
+    skewed_db,
 )
 
 QUERIES = [Q_CONFLICT, Q_TWO_A, Q_ABSENT]
@@ -47,14 +50,60 @@ def sequential():
     checker.close()
 
 
-class TestParallelCheck:
-    @pytest.mark.parametrize("query", QUERIES)
-    def test_verdicts_match_sequential(self, pooled, sequential, query):
-        expected = sequential.check(query, algorithm="opt")
-        actual = pooled.check(query)
-        assert actual.satisfied == expected.satisfied
-        assert actual.witness == expected.witness
+#: ``(database, max_workers, query, dispatched components)`` inputs of
+#: the parity test: the component workload, and one giant component
+#: plus many tiny ones, where striping rides tiny components along with
+#: the giant.
+PARITY_INPUTS = [
+    *(
+        pytest.param(component_db, 2, query, dispatched, id=query)
+        for query, dispatched in zip(QUERIES, (8, 4, 0))
+    ),
+    *(
+        pytest.param(
+            skewed_db, workers, query, 9, id=f"skewed-{label}-{workers}"
+        )
+        for label, query in (
+            ("satisfied", Q_SKEW_SATISFIED), ("violated", Q_SKEW_VIOLATED)
+        )
+        for workers in (2, 4)
+    ),
+]
 
+
+class TestParallelCheck:
+    @pytest.mark.parametrize("make_db, workers, query, dispatched", PARITY_INPUTS)
+    def test_verdicts_match_sequential(
+        self, monkeypatch, make_db, workers, query, dispatched
+    ):
+        sequential = DCSatChecker(make_db())
+        pooled = PooledDCSatChecker(make_db(), max_workers=workers)
+        groups: list[list[int]] = []
+        executor = pooled.pool._ensure_executor()
+        submit = executor.submit
+
+        def recording_submit(fn, sync, query, group, *args):
+            groups.append([index for index, _ in group])
+            return submit(fn, sync, query, group, *args)
+
+        monkeypatch.setattr(executor, "submit", recording_submit)
+        try:
+            expected = sequential.check(query, algorithm="opt")
+            actual = pooled.check(query)
+            assert actual.satisfied == expected.satisfied
+            assert actual.witness == expected.witness
+            # Round-robin stripes: ascending groups, the lowest index
+            # first in group 0.
+            submitted = sorted(index for group in groups for index in group)
+            assert len(submitted) == dispatched
+            assert len(groups) <= workers
+            assert groups == [
+                submitted[offset :: len(groups)]
+                for offset in range(len(groups))
+            ]
+        finally:
+            pooled.close()
+            sequential.close()
     def test_parallel_tasks_and_aggregate_elapsed(self, pooled):
         result = pooled.check(Q_CONFLICT)
         # 4 cids x 2 keys -> 8 components (the FD scopes conflicts to a
