@@ -341,6 +341,17 @@ def group_imbalance(loads: list[float]) -> float:
     return (max(loads) - mean) / mean
 
 
+def stripe_groups(units: list, workers: int) -> list[tuple]:
+    """Stripe *units* round-robin into at most *workers* groups.
+
+    Group ``g`` holds ``units[g::count]``, so each group keeps the order
+    of *units* — ascending component indices when *units* is — and group
+    0 starts with the lowest index.
+    """
+    count = min(workers, len(units))
+    return [tuple(units[offset::count]) for offset in range(count)]
+
+
 class SolverPool:
     """Fans per-component and per-group solver tasks across processes.
 
@@ -593,9 +604,7 @@ class SolverPool:
         dispatch_id = next(self._dispatch_ids)
         tracer = default_tracer()
         units = [(index, tuple(sorted(candidates))) for index, candidates in items]
-        count = min(self.max_workers, len(units))
-        # Striping keeps each group ascending, because *items* is.
-        groups = [tuple(units[offset::count]) for offset in range(count)]
+        groups = stripe_groups(units, self.max_workers)
         resolved: dict[int, frozenset[str] | None] = {}
         with obs_span(
             "parallel_dispatch",
